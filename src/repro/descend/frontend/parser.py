@@ -9,6 +9,7 @@ launches ``f::<<<X<1>, X<n>>>>(...)``, and ``for`` loops over nat ranges.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.descend.ast import terms as T
@@ -51,6 +52,33 @@ from repro.errors import DescendSyntaxError
 _MEMORY_ROOTS = ("cpu", "gpu")
 _KINDS = {"nat": Kind.NAT, "mem": Kind.MEMORY, "dty": Kind.DATA_TYPE}
 
+#: Deepest nesting of expressions, types, nats, views and blocks the parser
+#: accepts.  Far more than any real program needs, and low enough that the
+#: recursive descent, and the passes that recurse over the nested terms it
+#: builds, stay well inside Python's recursion limit.
+MAX_NESTING = 32
+
+
+def _nesting(method):
+    """Counts one nesting level while ``method`` runs; every recursive cycle
+    of the grammar passes through one method wrapped with this."""
+
+    @functools.wraps(method)
+    def nested(self, *args):
+        if self.depth >= MAX_NESTING:
+            token = self.peek()
+            raise self.error(
+                f"nesting deeper than {MAX_NESTING} levels at `{token.text or token.kind}`",
+                token.span,
+            )
+        self.depth += 1
+        try:
+            return method(self, *args)
+        finally:
+            self.depth -= 1
+
+    return nested
+
 
 class Parser:
     """Parses a token stream into a Descend program."""
@@ -59,6 +87,7 @@ class Parser:
         self.source = source
         self.tokens = Lexer(source).tokenize()
         self.pos = 0
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # token helpers
@@ -204,6 +233,7 @@ class Parser:
     # types and nats
     # ------------------------------------------------------------------
 
+    @_nesting
     def parse_type(self) -> DataType:
         ty = self._parse_type_prefix()
         if self.at(TokenKind.AT):
@@ -282,6 +312,7 @@ class Parser:
             left = NatBinOp(op, left, right)
         return left
 
+    @_nesting
     def _parse_nat_power(self) -> Nat:
         left = self._parse_nat_atom()
         if self.at(TokenKind.CARET):
@@ -309,6 +340,7 @@ class Parser:
     # statements
     # ------------------------------------------------------------------
 
+    @_nesting
     def parse_block(self) -> T.Block:
         start = self.expect(TokenKind.LBRACE, "block").span
         stmts: List[T.Term] = []
@@ -423,6 +455,7 @@ class Parser:
     # expressions
     # ------------------------------------------------------------------
 
+    @_nesting
     def parse_expr(self) -> T.Term:
         return self._parse_or()
 
@@ -471,8 +504,16 @@ class Parser:
             left = T.BinaryOp(op.text, left, self._parse_unary(), span=op.span)
         return left
 
+    _PREFIX_OPERATORS = (TokenKind.MINUS, TokenKind.BANG, TokenKind.AMP, TokenKind.STAR)
+
     def _parse_unary(self) -> T.Term:
         token = self.peek()
+        if token.kind in self._PREFIX_OPERATORS:
+            return self._parse_prefix_operator(token)
+        return self._parse_postfix()
+
+    @_nesting
+    def _parse_prefix_operator(self, token: Token) -> T.Term:
         if token.kind == TokenKind.MINUS:
             self.advance()
             return T.UnaryOp("-", self._parse_unary(), span=token.span)
@@ -487,13 +528,12 @@ class Parser:
                 uniq = True
             place = self._expect_place(self._parse_unary())
             return T.Borrow(uniq, place, span=token.span)
-        if token.kind == TokenKind.STAR:
-            self.advance()
-            inner = self._parse_unary()
-            place = self._expect_place(inner)
-            deref = PDeref(place, span=token.span)
-            return T.PlaceTerm(self._parse_place_suffixes(deref), span=token.span)
-        return self._parse_postfix()
+        # `*`: dereference
+        self.advance()
+        inner = self._parse_unary()
+        place = self._expect_place(inner)
+        deref = PDeref(place, span=token.span)
+        return T.PlaceTerm(self._parse_place_suffixes(deref), span=token.span)
 
     def _expect_place(self, term: T.Term) -> PlaceExpr:
         if isinstance(term, T.PlaceTerm):
@@ -664,6 +704,7 @@ class Parser:
             self.expect(TokenKind.RPAREN, "view arguments")
         return PView(place, ViewRef(name, tuple(nat_args), tuple(view_args)))
 
+    @_nesting
     def _parse_view_ref(self) -> ViewRef:
         name = self.expect(TokenKind.IDENT, "view").text
         nat_args: List[Nat] = []

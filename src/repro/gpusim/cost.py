@@ -27,7 +27,7 @@ from typing import DefaultDict, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.gpusim.grouping import group_representatives, row_group_ids
+from repro.gpusim.races import lexicographic_order, run_starts
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,32 @@ class KernelCost:
 class CostModel:
     """Accumulates memory accesses / arithmetic and converts them into cycles.
 
-    Accesses arrive through one of two equivalent paths:
+    Accesses arrive through one of two paths with bit-identical cycle counts:
 
     * :meth:`record_access` — one :class:`MemoryAccess` at a time (the
-      per-thread reference interpreter),
+      per-thread reference interpreter; the oracle),
     * :meth:`record_access_batch` — numpy arrays covering one vector operation
-      of the warp-vectorized engine.
+      of a batched engine.
 
-    Both paths produce bit-identical cycle counts: the batched path evaluates
-    the same per-``(block, warp, slot)`` grouping with ``np.unique`` instead
-    of Python dictionaries.
+    Every lane's slot counter advances on each access the lane makes, so a
+    ``(lane, slot)`` pair occurs in exactly one access.  A batch that covers
+    the whole grid in canonical lane order (block-major, thread-minor; the
+    caller says so with ``full_grid=True``) with every lane at the same slot
+    ``s`` therefore owns its ``(block, warp, s)`` groups outright.  When the
+    launch geometry says warps tile a block (``threads_per_block`` a
+    multiple of ``warp_size``), each warp is one row of a reshape, and such
+    a batch is folded into running totals as it is recorded.  Every other
+    batch is buffered and grouped at :meth:`finalize` with one
+    :func:`~repro.gpusim.races.lexicographic_order` sort and
+    :func:`~repro.gpusim.races.run_starts` boundary flags.
     """
 
-    def __init__(self, params: CostParameters = CostParameters()) -> None:
+    def __init__(
+        self,
+        params: CostParameters = CostParameters(),
+        threads_per_block: int = 0,
+        warp_size: int = 32,
+    ) -> None:
         self.params = params
         self._global: DefaultDict[Tuple[int, int, int], List[MemoryAccess]] = defaultdict(list)
         self._shared: DefaultDict[Tuple[int, int, int], List[MemoryAccess]] = defaultdict(list)
@@ -110,6 +123,14 @@ class CostModel:
         self._shared_batches: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._arithmetic = 0
         self._barriers = 0
+        self._warp_size = warp_size
+        self._fold_full_grid = (
+            threads_per_block > 0 and warp_size > 0 and threads_per_block % warp_size == 0
+        )
+        self._batched_global_accesses = 0
+        self._batched_shared_accesses = 0
+        self._folded_global_transactions = 0
+        self._folded_shared_conflicts = 0
 
     # -- recording -------------------------------------------------------------
     def record_access(self, access: MemoryAccess) -> None:
@@ -130,27 +151,45 @@ class CostModel:
         addresses: np.ndarray,
         is_write: bool,
         space: str,
+        full_grid: bool = False,
     ) -> None:
         """Record one vectorized operation: parallel arrays of equal length.
 
         ``addresses`` are byte addresses (``offset * element_size``), matching
         what :meth:`record_access` receives via :class:`MemoryAccess`.
+        ``full_grid`` promises one lane per thread of the launch, in
+        canonical order.
         """
         count = len(addresses)
         if count == 0:
             return
+        if space not in ("global", "shared"):
+            self._arithmetic += count
+            return
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if space == "global":
+            self._batched_global_accesses += count
+        else:
+            self._batched_shared_accesses += count
+        if full_grid and self._fold_full_grid:
+            slots = np.asarray(slots)
+            if (slots == slots[0]).all():
+                rows = addresses.reshape(-1, self._warp_size)
+                if space == "global":
+                    self._folded_global_transactions += self._row_transactions(rows)
+                else:
+                    self._folded_shared_conflicts += self._row_conflicts(rows)
+                return
         batch = (
             np.asarray(blocks, dtype=np.int64),
             np.asarray(warps, dtype=np.int64),
             np.asarray(slots, dtype=np.int64),
-            np.asarray(addresses, dtype=np.int64),
+            addresses,
         )
         if space == "global":
             self._global_batches.append(batch)
-        elif space == "shared":
-            self._shared_batches.append(batch)
         else:
-            self._arithmetic += count
+            self._shared_batches.append(batch)
 
     def record_arithmetic(self, count: int = 1) -> None:
         self._arithmetic += count
@@ -180,50 +219,78 @@ class CostModel:
             cycles += self.params.shared_access_cost * max(conflict_factor, 1 if accesses else 0)
         return cycles
 
-    @staticmethod
-    def _concat_batches(batches) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.concatenate([batch[i] for batch in batches]) for i in range(4))
+    def _row_transactions(self, rows: np.ndarray) -> int:
+        """Distinct global segments per row (one warp at one slot), summed."""
+        segments = np.sort(rows // self.params.global_segment_bytes, axis=1)
+        distinct = 1 + np.count_nonzero(segments[:, 1:] != segments[:, :-1], axis=1)
+        return int(distinct.sum())
 
-    def _batched_global_transactions(self) -> int:
-        """Distinct ``(block, warp, slot, segment)`` tuples over all batches.
+    def _row_conflicts(self, rows: np.ndarray) -> int:
+        """Worst-bank distinct-address count per row (one warp at one slot), summed."""
+        params = self.params
+        n_rows = rows.shape[0]
+        addresses = np.sort(rows, axis=1)
+        distinct = np.ones_like(addresses, dtype=bool)
+        distinct[:, 1:] = addresses[:, 1:] != addresses[:, :-1]
+        banks = (addresses // params.shared_bank_width) % params.shared_banks
+        row_bank = np.arange(n_rows, dtype=np.int64)[:, None] * params.shared_banks + banks
+        counts = np.bincount(row_bank[distinct], minlength=n_rows * params.shared_banks)
+        return int(counts.reshape(n_rows, params.shared_banks).max(axis=1).sum())
+
+    @staticmethod
+    def _sorted_columns(batches, *derive) -> List[np.ndarray]:
+        """The buffered ``(block, warp, slot, *derive(addresses))`` columns, sorted."""
+        blocks, warps, slots, addresses = (
+            np.concatenate([batch[i] for batch in batches]) for i in range(4)
+        )
+        columns = [blocks, warps, slots] + [fn(addresses) for fn in derive]
+        order = lexicographic_order(*columns)
+        return [column[order] for column in columns]
+
+    def _buffered_global_transactions(self) -> int:
+        """Distinct ``(block, warp, slot, segment)`` rows over the buffered batches.
 
         Summing per-group distinct segments (the dict-based path) equals
-        counting globally distinct group+segment tuples.
+        counting globally distinct group+segment rows.
         """
         if not self._global_batches:
             return 0
-        blocks, warps, slots, addresses = self._concat_batches(self._global_batches)
-        segments = addresses // self.params.global_segment_bytes
-        _, transactions = row_group_ids(blocks, warps, slots, segments)
-        return transactions
+        segment = self.params.global_segment_bytes
+        columns = self._sorted_columns(self._global_batches, lambda a: a // segment)
+        return int(np.count_nonzero(run_starts(*columns)[-1]))
 
-    def _batched_shared_cycles(self) -> float:
-        """Bank-conflict serialisation over batched accesses (same formula)."""
+    def _buffered_shared_conflicts(self) -> int:
+        """Worst-bank distinct-address count per ``(block, warp, slot)``, summed."""
         if not self._shared_batches:
-            return 0.0
-        blocks, warps, slots, addresses = self._concat_batches(self._shared_batches)
-        banks = (addresses // self.params.shared_bank_width) % self.params.shared_banks
-        warp_ids, n_warp_groups = row_group_ids(blocks, warps, slots)
-        bank_ids, n_bank_groups = row_group_ids(warp_ids, banks)
-        warp_of_bank = group_representatives(bank_ids, n_bank_groups, warp_ids)
-        # distinct addresses per (warp group, bank) ...
-        addr_ids, n_addr_groups = row_group_ids(bank_ids, addresses)
-        bank_of_addr = group_representatives(addr_ids, n_addr_groups, bank_ids)
-        per_bank_counts = np.bincount(bank_of_addr, minlength=n_bank_groups)
-        # ... and the worst bank per warp group serialises the warp
-        conflict = np.zeros(n_warp_groups, dtype=np.int64)
-        np.maximum.at(conflict, warp_of_bank, per_bank_counts)
-        return float(self.params.shared_access_cost * conflict.sum())
+            return 0
+        params = self.params
+        columns = self._sorted_columns(
+            self._shared_batches,
+            lambda a: (a // params.shared_bank_width) % params.shared_banks,
+            lambda a: a,
+        )
+        group_start, bank_start, address_start = run_starts(*columns)[2:]
+        bank_ids = np.cumsum(bank_start) - 1
+        per_bank = np.bincount(bank_ids[address_start], minlength=int(bank_ids[-1]) + 1)
+        # A group's banks are consecutive bank ids; its worst bank serialises it.
+        return int(np.maximum.reduceat(per_bank, bank_ids[group_start]).sum())
 
     def finalize(self, blocks: int, threads_per_block: int) -> KernelCost:
         """Convert the recorded events into a kernel cost estimate."""
         params = self.params
-        global_transactions = self._global_transactions() + self._batched_global_transactions()
-        shared_cycles = self._shared_cycles() + self._batched_shared_cycles()
-        global_accesses = sum(len(v) for v in self._global.values())
-        global_accesses += sum(len(batch[3]) for batch in self._global_batches)
-        shared_accesses = sum(len(v) for v in self._shared.values())
-        shared_accesses += sum(len(batch[3]) for batch in self._shared_batches)
+        global_transactions = (
+            self._global_transactions()
+            + self._folded_global_transactions
+            + self._buffered_global_transactions()
+        )
+        # Every term is an integer multiple of shared_access_cost, so the
+        # float sum is exact in any order.
+        shared_cycles = self._shared_cycles() + float(
+            params.shared_access_cost
+            * (self._folded_shared_conflicts + self._buffered_shared_conflicts())
+        )
+        global_accesses = sum(len(v) for v in self._global.values()) + self._batched_global_accesses
+        shared_accesses = sum(len(v) for v in self._shared.values()) + self._batched_shared_accesses
 
         global_cycles = global_transactions * params.global_transaction_cost / params.memory_parallelism
         arithmetic_cycles = (

@@ -16,9 +16,16 @@ engines:
   :func:`vectorized_impl`).
 * ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — runs plan-JIT kernels
   (straight-line Python emitted by the ``lower.plan.codegen`` pass,
-  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``, and
-  substitutes streaming parity-exact cost/race accounting via the engine
-  factory hooks.  Same cycle counts and race verdicts again, faster still.
+  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``.
+  Same cycle counts and race verdicts again.
+
+Every engine records into the one :class:`~repro.gpusim.cost.CostModel` and
+:class:`~repro.gpusim.races.RaceDetector` that ``GpuDevice.launch`` builds.
+The reference engine records access by access; the batched engines record
+one batch per vector operation, lanes in canonical (block-major,
+thread-minor) order.  A batch with every lane active and all lanes at one
+slot is folded into the cost totals as it is recorded; every other batch is
+grouped at the end of the launch by one lexicographic sort.
 
 Engines are selected per device (``GpuDevice(execution_mode=...)``) or per
 launch (``device.launch(..., execution_mode=...)``).
@@ -35,7 +42,7 @@ from repro.gpusim.engine.base import (
     resolve_vectorized,
     vectorized_impl,
 )
-from repro.gpusim.engine.jit import JitCostModel, JitEngine, JitRaceDetector
+from repro.gpusim.engine.jit import JitEngine
 from repro.gpusim.engine.reference import ReferenceEngine
 from repro.gpusim.engine.vectorized import VecCtx, VecLocalBuffer, VecSharedBuffer, VectorizedEngine
 
@@ -43,9 +50,7 @@ __all__ = [
     "EXECUTION_MODES",
     "EngineStats",
     "ExecutionEngine",
-    "JitCostModel",
     "JitEngine",
-    "JitRaceDetector",
     "ReferenceEngine",
     "VecCtx",
     "VecLocalBuffer",

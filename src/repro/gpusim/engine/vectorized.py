@@ -6,7 +6,9 @@ executes *all threads of the whole grid in lockstep*: ``threadIdx`` /
 accesses are bulk gathers/scatters through the flat buffer storage, and the
 cost model / race detector receive whole-operation batches
 (:meth:`CostModel.record_access_batch`, :meth:`RaceDetector.record_batch`)
-instead of one Python call per thread per access.
+instead of one Python call per thread per access.  Accesses with every lane
+active are flagged as canonical full-grid batches, which the cost model
+folds into running totals as they are recorded.
 
 Parity with the reference engine is exact, not approximate:
 
@@ -228,6 +230,9 @@ class VecCtx:
                 addresses=active_offsets * buffer.element_size,
                 is_write=is_write,
                 space=buffer.space,
+                # Boolean masks keep lanes in canonical order, so an access
+                # with every lane active is a canonical full-grid batch.
+                full_grid=active_offsets.size == self.num_threads,
             )
         if self._races is not None and buffer.space in ("global", "shared"):
             if buffer.space == "shared":

@@ -15,11 +15,13 @@ handwritten buggy CUDA kernel of Listing 1 races *dynamically* here, while
 the Descend type checker rejects the equivalent program *statically*.
 
 Accesses arrive one at a time (:meth:`RaceDetector.record`, the per-thread
-reference interpreter) or as whole numpy batches
-(:meth:`RaceDetector.record_batch`, the warp-vectorized engine).  Batches are
-analysed with vectorized grouping in :meth:`RaceDetector.check`; only the
-few locations that actually race are materialised into
-:class:`RecordedAccess` objects for reporting.
+reference interpreter and the oracle) or as whole numpy batches
+(:meth:`RaceDetector.record_batch`, every batched engine).  At
+:meth:`RaceDetector.check` the batches are analysed with one
+:func:`lexicographic_order` sort and the :func:`run_starts` boundary flags
+of that one permutation; only the few locations that actually race are
+materialised into :class:`RecordedAccess` objects for reporting.  The same
+two helpers group the cost model's divergent batches.
 """
 
 from __future__ import annotations
@@ -30,7 +32,48 @@ from typing import DefaultDict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gpusim.grouping import group_representatives, row_group_ids
+#: Packed sort keys stay within int64 with the sign bit spare.
+_MAX_PACKED_KEY = 1 << 62
+
+
+def lexicographic_order(*columns: np.ndarray) -> np.ndarray:
+    """Stable permutation sorting rows by ``columns``, first column most significant.
+
+    The columns are packed into one int64 key (``key * width + value``,
+    each column shifted to start at 0) and argsorted once.  When their
+    combined range needs more than 62 bits, ``np.lexsort`` sorts them as
+    separate keys instead; it is stable too, so both give the same
+    permutation.
+    """
+    if len(columns[0]) == 0:
+        return np.zeros(0, dtype=np.intp)
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    radix = 1
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        radix *= width  # Python int: the bound check cannot overflow
+        if radix > _MAX_PACKED_KEY:
+            return np.lexsort(columns[::-1])
+        key = key * np.int64(width) + (column - low)
+    return np.argsort(key, kind="stable")
+
+
+def run_starts(*columns: np.ndarray) -> List[np.ndarray]:
+    """Run boundaries of rows already in lexicographic order.
+
+    ``starts[k][i]`` is true where row ``i`` begins a new run of equal
+    ``columns[: k + 1]``; ``np.cumsum(starts[k]) - 1`` is then a dense
+    group id per row, numbered in sorted order.
+    """
+    flags = np.zeros(len(columns[0]), dtype=bool)
+    flags[:1] = True
+    starts = []
+    for column in columns:
+        flags = flags.copy()
+        flags[1:] |= column[1:] != column[:-1]
+        starts.append(flags)
+    return starts
 
 
 @dataclass(frozen=True)
@@ -85,7 +128,13 @@ class _AccessBatch:
 
 
 class RaceDetector:
-    """Collects accesses of one kernel launch and reports data races."""
+    """Collects accesses of one kernel launch and reports data races.
+
+    Accesses recorded one at a time (:meth:`record`) are reported per
+    location in first-seen order.  Batched accesses (:meth:`record_batch`)
+    are buffered until :meth:`check` and reported in sorted
+    ``(buffer, offset)`` order; both paths flag exactly the same locations.
+    """
 
     def __init__(self, max_reports: int = 16) -> None:
         self._by_location: DefaultDict[Tuple[int, int], List[RecordedAccess]] = defaultdict(list)
@@ -167,8 +216,8 @@ class RaceDetector:
     # -- batched analysis -------------------------------------------------------
     def _batch_columns(self):
         sizes = [len(batch.offsets) for batch in self._batches]
-        bid = np.concatenate(
-            [np.full(n, batch.buffer_id, dtype=np.int64) for batch, n in zip(self._batches, sizes)]
+        bid = np.repeat(
+            np.array([batch.buffer_id for batch in self._batches], dtype=np.int64), sizes
         )
         off = np.concatenate([batch.offsets for batch in self._batches])
         roff = np.concatenate(
@@ -179,12 +228,8 @@ class RaceDetector:
         )
         blk = np.concatenate([batch.blocks for batch in self._batches])
         thr = np.concatenate([batch.threads for batch in self._batches])
-        epo = np.concatenate(
-            [np.full(n, batch.epoch, dtype=np.int64) for batch, n in zip(self._batches, sizes)]
-        )
-        wrt = np.concatenate(
-            [np.full(n, batch.is_write, dtype=bool) for batch, n in zip(self._batches, sizes)]
-        )
+        epo = np.repeat(np.array([batch.epoch for batch in self._batches], dtype=np.int64), sizes)
+        wrt = np.repeat(np.array([batch.is_write for batch in self._batches], dtype=bool), sizes)
         return bid, off, roff, blk, thr, epo, wrt
 
     def _check_batches(self, limit: int) -> List[RaceReport]:
@@ -196,29 +241,36 @@ class RaceDetector:
           accesses are never ordered), or
         * within one ``(block, epoch)`` group, >= 2 distinct threads access it
           and at least one writes (nothing orders threads between barriers).
+
+        One lexicographic sort by ``(buffer, offset, block, epoch, thread)``
+        yields every grouping the two rules need: each coarser group is a
+        run of the sorted rows, found from boundary flags.
         """
         bid, off, roff, blk, thr, epo, wrt = self._batch_columns()
+        order = lexicographic_order(bid, off, blk, epo, thr)
+        loc_start, pair_start, group_start, member_start = run_starts(
+            bid[order], off[order], blk[order], epo[order], thr[order]
+        )[1:]
 
-        loc_ids, n_locs = row_group_ids(bid, off)
+        loc_ids = np.cumsum(loc_start) - 1
+        n_locs = int(loc_ids[-1]) + 1
+        group_ids = np.cumsum(group_start) - 1
+        n_groups = int(group_ids[-1]) + 1
+
+        w_s = wrt[order]
         has_write = np.zeros(n_locs, dtype=bool)
-        has_write[loc_ids[wrt]] = True
+        has_write[loc_ids[w_s]] = True
 
-        # Cross-block: locations touched by >= 2 blocks with at least one write.
-        loc_block_ids, n_loc_blocks = row_group_ids(loc_ids, blk)
-        loc_of_pair = group_representatives(loc_block_ids, n_loc_blocks, loc_ids)
-        blocks_per_loc = np.bincount(loc_of_pair, minlength=n_locs)
+        # Cross-block rule: >= 2 distinct blocks at one location + a write.
+        blocks_per_loc = np.bincount(loc_ids[pair_start], minlength=n_locs)
         racy_locs = (blocks_per_loc >= 2) & has_write
 
-        # Same block, same epoch: >= 2 distinct threads with at least one write.
-        group_ids, n_groups = row_group_ids(loc_ids, blk, epo)
-        member_ids, n_members = row_group_ids(group_ids, thr)
-        group_of_member = group_representatives(member_ids, n_members, group_ids)
-        threads_per_group = np.bincount(group_of_member, minlength=n_groups)
+        # Same-(block, epoch) rule: >= 2 distinct threads + a write.
+        threads_per_group = np.bincount(group_ids[member_start], minlength=n_groups)
         group_has_write = np.zeros(n_groups, dtype=bool)
-        group_has_write[group_ids[wrt]] = True
+        group_has_write[group_ids[w_s]] = True
         racy_groups = (threads_per_group >= 2) & group_has_write
-        loc_of_group = group_representatives(group_ids, n_groups, loc_ids)
-        racy_locs[loc_of_group[racy_groups]] = True
+        racy_locs[loc_ids[group_start][racy_groups]] = True
 
         if not racy_locs.any():
             return []
@@ -236,9 +288,12 @@ class RaceDetector:
                 buffer_label=labels.get(int(bid[i]), ""),
             )
 
+        # Locations are visited in sorted (buffer, offset) order, each with
+        # its lanes in ascending record order.
         reports: List[RaceReport] = []
         for loc in np.nonzero(racy_locs)[0]:
-            pair = self._pair_for_location(np.nonzero(loc_ids == loc)[0], blk, thr, epo, wrt)
+            lanes = np.sort(order[loc_ids == loc])
+            pair = self._pair_for_location(lanes, blk, thr, epo, wrt)
             if pair is not None:
                 reports.append(RaceReport(materialize(pair[0]), materialize(pair[1])))
             if len(reports) >= limit:
@@ -251,6 +306,7 @@ class RaceDetector:
 
         Mirrors the two rules of :meth:`_check_batches` exactly, so a pair is
         found whenever one of them flagged the location — no sampling.
+        ``lanes`` must be in ascending record order.
         """
         write_lanes = lanes[wrt[lanes]]
         if write_lanes.size == 0:

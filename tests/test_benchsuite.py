@@ -3,6 +3,10 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,32 @@ class TestRunner:
         assert vectorized.descend.cycles == reference.descend.cycles
         assert vectorized.cuda.correct and vectorized.descend.correct
         assert vectorized.relative_runtime == pytest.approx(reference.relative_runtime)
+
+    def test_inputs_do_not_depend_on_hash_randomisation(self):
+        """Two processes with different PYTHONHASHSEED draw the same bench inputs."""
+        script = (
+            "import hashlib\n"
+            "from repro.benchsuite import workload\n"
+            "from repro.benchsuite.enginebench import DESCEND_BENCHMARKS\n"
+            "from repro.benchsuite.runner import _reference_and_data\n"
+            "digest = hashlib.sha256()\n"
+            "for name in DESCEND_BENCHMARKS:\n"
+            "    data, _ = _reference_and_data(workload(name, 'small'))\n"
+            "    for part in data if isinstance(data, tuple) else (data,):\n"
+            "        digest.update(part.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_scaled_pair_runs_bigger_footprint(self):
         base = run_benchmark_pair("reduce", "small", engine="vectorized")

@@ -12,6 +12,7 @@ from repro.cudalite.kernels import buggy, matmul, reduce, scan, transpose, vecto
 from repro.errors import DeviceMemoryError, LaunchConfigurationError
 from repro.gpusim import CostModel, GpuDevice, RaceDetector, vectorized_impl
 from repro.gpusim.cost import MemoryAccess
+from repro.gpusim.races import RaceReport, RecordedAccess, lexicographic_order
 from repro.gpusim.engine import EXECUTION_MODES, get_engine, resolve_reference, resolve_vectorized
 
 
@@ -265,30 +266,154 @@ class TestRaceInjection:
         assert not launch.races
 
 
+def _random_launch(seed: int, wide: bool):
+    """Seeded accesses of one launch, as batches in a batched engine's shape.
+
+    Returns ``(threads_per_block, warp_size, num_blocks, batches)``; each
+    batch is ``(space, is_write, epoch, buffer_id, full_grid, lanes)`` with
+    ``lanes`` a dict of parallel per-lane arrays (block, warp, thread, slot,
+    offset) in record order.  Batches are full-grid (every lane, canonical
+    order), masked (divergent, or every lane active), or full-length but
+    permuted (not canonical, so not flagged).  ``wide`` draws offsets whose
+    range cannot pack into a 62-bit sort key.
+    """
+    r = np.random.default_rng(seed)
+    warp = int(r.choice([4, 8, 32]))
+    threads_per_block = int(r.choice([warp, 2 * warp, 2 * warp + 1]))
+    num_blocks = int(r.integers(1, 4))
+    n = num_blocks * threads_per_block
+    thread = np.tile(np.arange(threads_per_block), num_blocks)
+    block = np.repeat(np.arange(num_blocks), threads_per_block)
+    slots = np.zeros(n, dtype=np.int64)
+    hot = r.integers(0, 2 ** 55 if wide else 64, size=int(r.integers(2, 12)))
+    epoch = 0
+    batches = []
+    for _ in range(int(r.integers(1, 9))):
+        kind = r.choice(["full", "masked", "permuted"])
+        if kind == "full":
+            lanes = np.arange(n)
+        elif kind == "masked":
+            lanes = np.nonzero(r.random(n) < r.choice([0.2, 0.7, 1.0]))[0]
+        else:
+            lanes = r.permutation(n)
+        if lanes.size == 0:
+            continue
+        pattern = r.choice(["hot", "linear", "strided"])
+        if pattern == "hot":
+            offsets = hot[r.integers(0, hot.size, size=n)]
+        elif pattern == "linear":
+            offsets = np.arange(n) + int(hot[0])
+        else:
+            offsets = (thread * int(r.choice([1, 2, 33]))) % 97 + int(hot[0])
+        slot = slots[lanes].copy()
+        slots[lanes] += 1
+        batches.append((
+            str(r.choice(["global", "global", "shared", "local"])),
+            bool(r.random() < 0.5),
+            epoch,
+            int(r.integers(1, 3)),
+            bool(kind != "permuted" and lanes.size == n),
+            {
+                "block": block[lanes], "warp": thread[lanes] // warp,
+                "thread": thread[lanes], "slot": slot, "offset": offsets[lanes],
+            },
+        ))
+        if r.random() < 0.3:
+            epoch += 1
+    return threads_per_block, warp, num_blocks, batches
+
+
+def _location(report):
+    return report.first.buffer_id, report.first.offset
+
+
+def _batched_report_order(by_location, limit):
+    """The reports the batched path gives for the per-access oracle's groups.
+
+    Racy locations in sorted ``(buffer, offset)`` order; at each, the first
+    write paired with the first access from another block if there is one,
+    else the oracle's own choice (all accesses are then in one block).
+    """
+    reports = []
+    for location in sorted(by_location):
+        accesses = by_location[location]
+        writes = [a for a in accesses if a.is_write]
+        if not writes:
+            continue
+        cross = [a for a in accesses if a.block != writes[0].block]
+        report = RaceReport(writes[0], cross[0]) if cross else RaceDetector._find_report(accesses)
+        if report is not None:
+            reports.append(report)
+    return reports[:limit]
+
+
 class TestBatchedRecorders:
-    def test_batched_cost_equals_scalar_cost(self, rng):
-        """Feeding identical accesses through both paths gives identical cycles."""
-        scalar = CostModel()
-        batched = CostModel()
-        blocks = rng.integers(0, 4, size=200)
-        warps = rng.integers(0, 2, size=200)
-        slots = rng.integers(0, 6, size=200)
-        addresses = rng.integers(0, 4096, size=200) * 8
-        for space in ("global", "shared"):
-            for block, warp, slot, address in zip(blocks, warps, slots, addresses):
-                scalar.record_access(
-                    MemoryAccess(
-                        block=int(block), warp=int(warp), slot=int(slot),
-                        address=int(address), is_write=False, space=space,
-                    )
+    @pytest.mark.parametrize("wide", [False, True], ids=["packed-key", "lexsort"])
+    def test_batched_accounting_equals_per_access(self, wide, monkeypatch):
+        """record_access_batch / record_batch give exactly what the per-access
+        oracle gives for the same accesses: cost summaries and race reports."""
+        lexsorts = []
+        real_lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys)
+        )
+        folded = buffered = racy = 0
+        for seed in range(150):
+            tpb, warp, num_blocks, batches = _random_launch(seed, wide)
+            scalar_cost = CostModel()
+            batched_cost = CostModel(threads_per_block=tpb, warp_size=warp)
+            oracle = RaceDetector(max_reports=10 ** 6)
+            batched = {limit: RaceDetector(max_reports=limit) for limit in (3, 16, 10 ** 6)}
+            for space, is_write, epoch, buffer_id, full_grid, lanes in batches:
+                batched_cost.record_access_batch(
+                    blocks=lanes["block"], warps=lanes["warp"], slots=lanes["slot"],
+                    addresses=lanes["offset"] * 8, is_write=is_write, space=space,
+                    full_grid=full_grid,
                 )
-            batched.record_access_batch(
-                blocks=blocks, warps=warps, slots=slots, addresses=addresses,
-                is_write=False, space=space,
-            )
-        a = scalar.finalize(blocks=4, threads_per_block=64)
-        b = batched.finalize(blocks=4, threads_per_block=64)
-        assert a.summary() == b.summary()
+                if space != "local":
+                    for detector in batched.values():
+                        detector.record_batch(
+                            buffer_id=buffer_id, offsets=lanes["offset"],
+                            blocks=lanes["block"], threads=lanes["thread"],
+                            epoch=epoch, is_write=is_write, buffer_label=f"b{buffer_id}",
+                        )
+                for i in range(len(lanes["offset"])):
+                    block, thread = int(lanes["block"][i]), int(lanes["thread"][i])
+                    offset = int(lanes["offset"][i])
+                    scalar_cost.record_access(MemoryAccess(
+                        block=block, warp=int(lanes["warp"][i]), slot=int(lanes["slot"][i]),
+                        address=offset * 8, is_write=is_write, space=space,
+                    ))
+                    if space != "local":
+                        oracle.record(RecordedAccess(
+                            buffer_id=buffer_id, offset=offset, block=block, thread=thread,
+                            epoch=epoch, is_write=is_write, buffer_label=f"b{buffer_id}",
+                        ))
+            folded += batched_cost._folded_global_transactions + batched_cost._folded_shared_conflicts
+            buffered += len(batched_cost._global_batches) + len(batched_cost._shared_batches)
+            assert (
+                batched_cost.finalize(num_blocks, tpb).summary()
+                == scalar_cost.finalize(num_blocks, tpb).summary()
+            ), f"seed {seed}"
+
+            oracle_reports = oracle.check()
+            everything = batched[10 ** 6].check()
+            assert [_location(r) for r in everything] == sorted(map(_location, oracle_reports))
+            for limit, detector in batched.items():
+                expected = _batched_report_order(oracle._by_location, limit)
+                assert detector.check() == expected, f"seed {seed}, limit {limit}"
+            racy += bool(everything)
+        # Both cost paths and the race rules were exercised, and the wide
+        # keys really took the multi-key sort.
+        assert folded and buffered and racy
+        assert bool(lexsorts) == wide
+
+    def test_lexicographic_order_matches_lexsort(self, rng):
+        narrow = [rng.integers(0, 5, size=300) for _ in range(4)]
+        wide = narrow[:2] + [rng.integers(0, 2 ** 40, size=300), narrow[3] * 2 ** 30]
+        for columns in (narrow, wide):
+            order = lexicographic_order(*columns)
+            assert np.array_equal(order, np.lexsort(columns[::-1]))
 
     def test_batched_local_space_counts_as_arithmetic(self):
         scalar = CostModel()

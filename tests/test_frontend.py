@@ -1,14 +1,20 @@
 """Tests for the lexer, the parser, and the pretty-printer round trip."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.descend.api import ERR_SYNTAX, OP_CHECK, LocalBackend, Request
 from repro.descend.ast import terms as T
 from repro.descend.ast.printer import print_program
 from repro.descend.ast.types import ArrayType, ArrayViewType, RefType
 from repro.descend.frontend import parse_program, tokenize
+from repro.descend.frontend.parser import MAX_NESTING
 from repro.descend.frontend.tokens import TokenKind
 from repro.descend.typeck import check_program
 from repro.errors import DescendSyntaxError, DescendTypeError
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 SCALE_SRC = """
 fn scale_vec(vec: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<8>, X<32>>]-> () {
@@ -171,6 +177,29 @@ class TestParser:
     def test_missing_fn_keyword(self):
         with pytest.raises(DescendSyntaxError):
             parse_program("let x = 3")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("3.0", "(" * 500 + "3.0" + ")" * 500),
+            ("3.0", "-" * 500 + "3.0"),
+            ("f64; 1024", "f64; " + "(" * 500 + "1024" + ")" * 500),
+            ("[f64; 1024]", "[" * 500 + "f64" + "; 2]" * 500),
+        ],
+        ids=["parentheses", "prefix-operators", "nat-parentheses", "array-types"],
+    )
+    def test_deep_nesting_is_a_syntax_error(self, old, new):
+        """Hostile nesting gets a syntax-error response, not a RecursionError."""
+        text = (EXAMPLES / "scale_vec.descend").read_text().replace(old, new)
+        response = LocalBackend().handle(Request(op=OP_CHECK, source=text))
+        assert response.error_code == ERR_SYNTAX
+        assert f"nesting deeper than {MAX_NESTING} levels" in response.error["message"]
+
+    def test_nesting_below_the_limit_parses(self):
+        text = (EXAMPLES / "scale_vec.descend").read_text()
+        shallow = text.replace("3.0", "(" * 20 + "3.0" + ")" * 20)
+        prog = parse_program(shallow)
+        assert print_program(prog) == print_program(parse_program(text))
 
 
 class TestRoundTrip:
