@@ -14,10 +14,7 @@ Two variants are covered: the handwritten CUDA-lite kernels (the default)
 and, with ``--descend``, the Descend programs executed through the
 device-plan compiler (:mod:`repro.descend.plan`).  The Descend variant additionally
 sweeps workload *scales* (``--scales 1 4``) to record the interpreter's
-scaling headroom, and runs a third column — the ``jit`` engine, which
-executes the generated straight-line source of the
-``lower.plan.codegen`` pass — under the same exact-parity oracle; its
-report is written to ``BENCH_descend_engine.json``.
+scaling headroom; its report is written to ``BENCH_descend_engine.json``.
 
 The JSON reports (``BENCH_*.json``) are uploaded as CI artifacts by the
 bench-smoke job so the speedup trajectory accumulates over time.
@@ -129,10 +126,6 @@ class EngineBenchRow:
     scale: int = 1
     skipped: Optional[str] = None
     retries: int = 0
-    #: The jit engine only runs for the Descend variant (the CUDA-lite
-    #: kernels have no device plan to compile); ``None`` elsewhere.
-    jit_cycles: Optional[float] = None
-    jit_wall_s: Optional[float] = None
     #: Which process measured this row — ``hostname:pid``, stamped by
     #: :func:`compare_engines` so serial rows, pool shards and dispatched
     #: remote workers are all attributable in the merged report.
@@ -145,27 +138,12 @@ class EngineBenchRow:
         return self.reference_cycles == self.vectorized_cycles
 
     @property
-    def jit_cycles_match(self) -> Optional[bool]:
-        if self.jit_cycles is None:
-            return None
-        return self.jit_cycles == self.vectorized_cycles
-
-    @property
     def speedup(self) -> Optional[float]:
         if self.reference_wall_s is None:
             return None
         if self.vectorized_wall_s == 0:
             return float("inf")
         return self.reference_wall_s / self.vectorized_wall_s
-
-    @property
-    def jit_speedup(self) -> Optional[float]:
-        """The jit engine's speedup over the *vectorized* engine."""
-        if self.jit_wall_s is None:
-            return None
-        if self.jit_wall_s == 0:
-            return float("inf")
-        return self.vectorized_wall_s / self.jit_wall_s
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -175,14 +153,10 @@ class EngineBenchRow:
             "scale": self.scale,
             "reference_cycles": self.reference_cycles,
             "vectorized_cycles": self.vectorized_cycles,
-            "jit_cycles": self.jit_cycles,
             "cycles_match": self.cycles_match,
-            "jit_cycles_match": self.jit_cycles_match,
             "reference_wall_s": self.reference_wall_s,
             "vectorized_wall_s": self.vectorized_wall_s,
-            "jit_wall_s": self.jit_wall_s,
             "speedup": _json_number(self.speedup),
-            "jit_speedup": _json_number(self.jit_speedup),
             "footprint_bytes": self.footprint_bytes,
             "skipped": self.skipped,
             "retries": self.retries,
@@ -210,8 +184,6 @@ class EngineBenchRow:
             scale=int(payload.get("scale", 1)),  # type: ignore[arg-type]
             skipped=payload.get("skipped"),  # type: ignore[arg-type]
             retries=int(payload.get("retries", 0)),  # type: ignore[arg-type]
-            jit_cycles=payload.get("jit_cycles"),  # type: ignore[arg-type]
-            jit_wall_s=payload.get("jit_wall_s"),  # type: ignore[arg-type]
             host=str(payload.get("host", "")),
         )
 
@@ -237,29 +209,11 @@ class EngineBenchResult:
 
     @property
     def all_cycles_match(self) -> bool:
-        return all(row.cycles_match for row in self.measured_rows) and all(
-            row.jit_cycles_match in (None, True) for row in self.rows
-        )
+        return all(row.cycles_match for row in self.measured_rows)
 
     @property
     def geometric_mean_speedup(self) -> float:
         speedups = [row.speedup for row in self.measured_rows if row.speedup > 0]
-        if not speedups:
-            return float("nan")
-        return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-
-    @property
-    def geometric_mean_jit_speedup(self) -> float:
-        """Geomean of the jit engine's speedup over the vectorized engine.
-
-        Budget-skipped rows still count: the jit column never depends on the
-        reference run, and the biggest rows are exactly where it matters.
-        """
-        speedups = [
-            row.jit_speedup
-            for row in self.rows
-            if row.jit_speedup is not None and row.jit_speedup > 0
-        ]
         if not speedups:
             return float("nan")
         return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -279,18 +233,15 @@ class EngineBenchResult:
             "workloads": [row.as_dict() for row in self.rows],
             "all_cycles_match": self.all_cycles_match,
             "geometric_mean_speedup": _json_number(self.geometric_mean_speedup),
-            "geometric_mean_jit_speedup": _json_number(self.geometric_mean_jit_speedup),
             "min_speedup": _json_number(self.min_speedup),
             "skipped_rows": sum(1 for row in self.rows if row.skipped is not None),
             "compile_passes": self.compile_passes,
         }
 
     def to_table(self) -> str:
-        has_jit = any(row.jit_wall_s is not None for row in self.rows)
         table = format_table(
             ["variant", "benchmark", "size", "scale", "footprint", "cycles", "parity",
-             "ref wall", "vec wall", "speedup"]
-            + (["jit wall", "jit x"] if has_jit else []),
+             "ref wall", "vec wall", "speedup"],
             [
                 (
                     row.variant,
@@ -306,41 +257,36 @@ class EngineBenchResult:
                     f"{row.vectorized_wall_s * 1e3:.1f} ms",
                     f"{row.speedup:.1f}x" if row.skipped is None else "—",
                 )
-                + (
-                    (
-                        f"{row.jit_wall_s * 1e3:.1f} ms" if row.jit_wall_s is not None else "—",
-                        f"{row.jit_speedup:.1f}x" if row.jit_speedup is not None else "—",
-                    )
-                    if has_jit
-                    else ()
-                )
                 for row in self.rows
             ],
         )
-        summary = (
+        return (
             table
             + f"\n\ngeometric mean speedup: {self.geometric_mean_speedup:.1f}x"
             + f" (min {self.min_speedup:.1f}x); cycle parity: "
             + ("exact for every workload" if self.all_cycles_match else "VIOLATED")
         )
-        if has_jit:
-            summary += (
-                f"\ngeometric mean jit speedup over vectorized: "
-                f"{self.geometric_mean_jit_speedup:.1f}x"
-            )
-        return summary
 
 
-def _time_variant(runner, workload_: Workload, data, reference, engine: str, repeats: int):
-    """Best-of-``repeats`` wall-clock of simulating the workload on one engine."""
+def _time_variant(
+    runner, workload_: Workload, data, reference, engine: str, repeats: int,
+    warmup: bool = False,
+):
+    """Best-of-``repeats`` wall-clock of simulating the workload on one engine.
+
+    ``warmup`` adds one untimed (but checked) run before the timed ones, so
+    the column measures warm execution rather than the first run's one-off
+    costs (numpy and allocator warm-up, first-touch of the workload data).
+    """
     best_wall = float("inf")
     cycles = float("nan")
-    for _ in range(max(1, repeats)):
+    for attempt in range(max(1, repeats) + (1 if warmup else 0)):
         device = GpuDevice(execution_mode=engine)
         start = time.perf_counter()
         cycles, result, races, _stats = runner(device, workload_.params, data)
         wall = time.perf_counter() - start
-        best_wall = min(best_wall, wall)
+        if attempt > 0 or not warmup:
+            best_wall = min(best_wall, wall)
         if races:
             raise BenchmarkError(
                 f"{workload_.label} reported {races} data races under the {engine} engine"
@@ -380,6 +326,11 @@ def compare_engines(
     handwritten kernels) or ``"descend"`` (the Descend programs through the
     interpreter, vectorized via the device-plan compiler).
 
+    The vectorized column runs once untimed before its timed repeats, so it
+    measures warm execution.  The reference column is timed cold: it runs
+    tens to hundreds of times longer, so its first-run cost is lost in its
+    own noise.
+
     ``budget_s`` bounds the reference-engine column: the vectorized engine
     runs first (it shares the exact cycle count), and if the deterministic
     estimate :func:`estimate_reference_wall_s` exceeds the budget the
@@ -403,21 +354,11 @@ def compare_engines(
         # the cold typeck (or warm it from the attached artifact store) that
         # later runs then get from the cache.
         precompile_descend(benchmark, workload_.params)
-    vec_cycles, vec_wall = _time_variant(runner, workload_, data, reference, "vectorized", repeats)
-    jit_cycles: Optional[float] = None
-    jit_wall: Optional[float] = None
-    if variant == "descend":
-        # The jit column never depends on the reference run, so it is
-        # measured even on budget-skipped rows — the biggest rows are
-        # exactly where codegen pays off.
-        jit_cycles, jit_wall = _time_variant(runner, workload_, data, reference, "jit", repeats)
-        if jit_cycles != vec_cycles:
-            raise BenchmarkError(
-                f"cycle-count parity violated for {workload_.label} ({variant}): "
-                f"jit={jit_cycles} vectorized={vec_cycles}"
-            )
+    vec_cycles, vec_wall = _time_variant(
+        runner, workload_, data, reference, "vectorized", repeats, warmup=True
+    )
     if budget_s is not None and estimate_reference_wall_s(vec_cycles) > budget_s:
-        _emulate_device_wait(vec_cycles, 2 if jit_cycles is not None else 1, device_s_per_cycle)
+        _emulate_device_wait(vec_cycles, 1, device_s_per_cycle)
         return EngineBenchRow(
             benchmark=benchmark,
             size=size,
@@ -429,8 +370,6 @@ def compare_engines(
             variant=variant,
             scale=scale_factor(scale),
             skipped="budget",
-            jit_cycles=jit_cycles,
-            jit_wall_s=jit_wall,
             host=host_label(),
         )
     ref_cycles, ref_wall = _time_variant(runner, workload_, data, reference, "reference", repeats)
@@ -444,8 +383,6 @@ def compare_engines(
         footprint_bytes=workload_.footprint_bytes(),
         variant=variant,
         scale=scale_factor(scale),
-        jit_cycles=jit_cycles,
-        jit_wall_s=jit_wall,
         host=host_label(),
     )
     if not row.cycles_match:
@@ -453,7 +390,7 @@ def compare_engines(
             f"cycle-count parity violated for {workload_.label} ({variant}): "
             f"reference={ref_cycles} vectorized={vec_cycles}"
         )
-    _emulate_device_wait(vec_cycles, 3 if jit_cycles is not None else 2, device_s_per_cycle)
+    _emulate_device_wait(vec_cycles, 2, device_s_per_cycle)
     return row
 
 

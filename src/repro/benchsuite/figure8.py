@@ -127,9 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--sizes", nargs="*", default=list(SIZES), choices=list(SIZES))
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument(
-        "--engine", default="reference", choices=("reference", "vectorized", "jit"),
-        help="execution engine for both variants (cycle counts are identical; "
-        "jit applies to the Descend side, the CUDA-lite side runs vectorized)",
+        "--engine", default="reference", choices=("reference", "vectorized"),
+        help="execution engine for both variants (cycle counts are identical)",
     )
     parser.add_argument(
         "--scale", type=int, default=None,

@@ -219,7 +219,6 @@ def precompile_descend(benchmark: str, params: Dict[str, int]) -> None:
     compiled = compile_program(_DESCEND_BUILDERS[benchmark](params))
     for fun_name in compiled.gpu_function_names():
         compiled.device_plan(fun_name)
-        compiled.plan_source(fun_name)
 
 
 def _run_descend_reduce(device: GpuDevice, params: Dict[str, int], data: np.ndarray):
@@ -399,16 +398,12 @@ def run_benchmark_pair(
     the Descend programs run through the device-plan compiler
     (:mod:`repro.descend.plan`).  Because both engines produce
     identical cycle counts, the Figure 8 ratios are engine-independent —
-    ``"vectorized"`` just regenerates them much faster.  With ``"jit"`` the
-    Descend side executes the generated straight-line source of the
-    ``lower.plan.codegen`` pass; the CUDA-lite side has no device plan to
-    compile and runs vectorized (cycle-identical).  ``scale`` enlarges
+    ``"vectorized"`` just regenerates them much faster.  ``scale`` enlarges
     the workload footprint without touching ``REPRO_SCALE``.
     """
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)
-    cuda_engine = "vectorized" if engine == "jit" else engine
-    cuda = _run_variant(_CUDA_RUNNERS[benchmark], workload_, data, reference, repeats, engine=cuda_engine)
+    cuda = _run_variant(_CUDA_RUNNERS[benchmark], workload_, data, reference, repeats, engine=engine)
     descend = _run_variant(_DESCEND_RUNNERS[benchmark], workload_, data, reference, repeats, engine=engine)
     if not cuda.correct:
         raise BenchmarkError(f"CUDA-lite produced a wrong result for {workload_.label}")

@@ -73,9 +73,7 @@ UNSTABLE_COLUMNS = frozenset(
     {
         "reference_wall_s",
         "vectorized_wall_s",
-        "jit_wall_s",
         "speedup",
-        "jit_speedup",
         "host",
         "retries",
     }

@@ -217,8 +217,6 @@ def _file_request(op: str, args: argparse.Namespace) -> Request:
     options = {}
     if getattr(args, "no_opt", False):
         options["no_opt"] = True
-    if getattr(args, "jit", False):
-        options["jit"] = True
     return Request(op=op, path=args.file, fun=getattr(args, "fun", None), options=options)
 
 
@@ -300,8 +298,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         print(f"error: client op {op!r} requires a file argument", file=sys.stderr)
         return 2
     options = {"no_opt": True} if getattr(args, "no_opt", False) else {}
-    if getattr(args, "jit", False):
-        options["jit"] = True
     if args.deadline_ms is not None:
         options["deadline_ms"] = args.deadline_ms
     # Send the program text inline (named after the local file): the daemon
@@ -647,10 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-opt", action="store_true", dest="no_opt",
         help="show the raw lowering, before the lower.plan.opt passes",
     )
-    plan_opts.add_argument(
-        "--jit", action="store_true", dest="jit",
-        help="show the generated Python source from the lower.plan.codegen pass",
-    )
 
     check = sub.add_parser(
         "check", parents=[common], help="parse and type check a .descend file"
@@ -817,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig8.add_argument("--benchmarks", nargs="*")
     fig8.add_argument("--sizes", nargs="*")
-    fig8.add_argument("--engine", choices=("reference", "vectorized", "jit"))
+    fig8.add_argument("--engine", choices=("reference", "vectorized"))
     fig8.add_argument(
         "--scale", type=int, default=None,
         help="workload scale factor (overrides REPRO_SCALE without touching the environment)",

@@ -8,10 +8,7 @@ client, and the canonical compile functions:
 >>> from repro.descend.api import compile_source
 >>> program = compile_source(source_text)      # parse + typecheck
 >>> cuda = program.to_cuda()                   # CUDA C++ source strings
->>> result = program.run(device, args)         # execute on the GPU simulator
-
-(The old ``repro.descend.compiler`` compile functions are deprecated shims
-over the facade.)
+>>> launch = program.kernel("scale_vec").launch(device, {"vec": buf})  # run on the simulator
 """
 
 from repro.descend.nat import Nat, NatConst, NatVar, as_nat

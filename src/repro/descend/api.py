@@ -6,9 +6,8 @@ workers — speaks this module instead of reaching into scattered entry
 points.  It has three layers, innermost first:
 
 * **Functions.**  :func:`compile_source` / :func:`compile_program` /
-  :func:`compile_file` are the canonical programmatic entry points (the
-  old ``repro.descend.compiler`` module-level functions are deprecated
-  shims over these).  They return rich in-process objects
+  :func:`compile_file` are the canonical programmatic entry points.
+  They return rich in-process objects
   (:class:`~repro.descend.driver.CompiledProgram`).
 
 * **Requests.**  :class:`Request` / :class:`Response` are the *versioned*
@@ -90,6 +89,12 @@ OPS = (
 #: Operations that compile something and therefore need ``source`` or ``path``.
 COMPILE_OPS = (OP_CHECK, OP_COMPILE, OP_PRINT, OP_PLAN)
 
+#: The options schema v1 defines: ``no_opt`` for ``plan``, and the daemon's
+#: ``deadline_ms`` for every op.  Any other key is answered ``bad-request``:
+#: silently ignoring it would return an artifact the client did not ask for.
+OP_OPTIONS: Dict[str, Tuple[str, ...]] = {OP_PLAN: ("no_opt",)}
+COMMON_OPTIONS = ("deadline_ms",)
+
 #: Operations a client may safely re-send after a dropped connection or a
 #: transient failure: everything except ``shutdown`` is a pure read (or a
 #: content-addressed compile, which is referentially transparent).  A
@@ -147,10 +152,9 @@ class Request:
     Exactly one of ``source`` (inline program text) or ``path`` (a file the
     executing backend reads) must be set for the compile-ish ops
     (:data:`COMPILE_OPS`); ``ping`` / ``health`` / ``cache.stats`` /
-    ``shutdown`` take neither.  ``options`` is the per-op option bag — schema v1 defines
-    ``{"no_opt": bool, "jit": bool}`` for ``plan`` (``jit`` renders the
-    generated Python of the ``lower.plan.codegen`` pass instead of the IR
-    disassembly); unknown keys are ignored for forward compatibility.
+    ``shutdown`` take neither.  ``options`` is the per-op option bag
+    (:data:`OP_OPTIONS`, :data:`COMMON_OPTIONS`); a request carrying any
+    other key fails with ``bad-request``.
     """
 
     op: str
@@ -163,6 +167,17 @@ class Request:
 
     def option(self, key: str, default: object = None) -> object:
         return self.options.get(key, default)
+
+    def check_options(self) -> None:
+        """Reject option keys schema v1 does not define for this op."""
+        known = OP_OPTIONS.get(self.op, ()) + COMMON_OPTIONS
+        unknown = sorted(str(key) for key in self.options if key not in known)
+        if unknown:
+            raise ProtocolError(
+                ERR_BAD_REQUEST,
+                f"unknown option(s) {', '.join(unknown)} for op {self.op!r}; "
+                f"expected a subset of {known}",
+            )
 
     def to_wire(self) -> Dict[str, object]:
         frame: Dict[str, object] = {"v": API_VERSION, "op": self.op}
@@ -400,6 +415,7 @@ class LocalBackend:
             mark = len(session.timings)
             unit, text = None, None
             try:
+                request.check_options()
                 unit, text = self._load_input(request)
                 artifacts = self._dispatch(request, unit, text)
             except ProtocolError as exc:
@@ -510,8 +526,6 @@ class LocalBackend:
             return {"source": compiled.to_source()}
         if op == OP_PLAN:
             no_opt = bool(request.option("no_opt", False))
-            if bool(request.option("jit", False)):
-                return {"ir": plan_source_text(compiled, unit, request.fun, no_opt)}
             return {"ir": plan_text(compiled, unit, request.fun, no_opt)}
         raise ProtocolError(ERR_UNKNOWN_OP, f"unknown op {op!r}")  # pragma: no cover
 
@@ -549,48 +563,6 @@ def plan_text(
             chunks.append(f"// {name}: falls back to the reference engine: {reason}\n")
         else:
             chunks.append(disassemble(plan))
-    return "\n".join(chunks)
-
-
-def plan_source_text(
-    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool
-) -> str:
-    """The ``plan`` op's generated-Python text (the CLI's ``plan --jit``).
-
-    Mirrors :func:`plan_text` with the ``lower.plan.codegen`` output in
-    place of the IR disassembly: functions codegen (or the plan lowering)
-    cannot compile render their fallback reason as a comment.  ``no_opt``
-    runs codegen over the raw (unoptimized) plan, bypassing the caches.
-    """
-    from repro.descend.plan import (
-        CodegenUnsupported,
-        PlanUnsupported,
-        generate_plan_source,
-        lower_device_plan,
-    )
-
-    gpu_names = compiled.gpu_function_names()
-    if fun:
-        if fun not in gpu_names:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                f"`{fun}` is not a GPU function of {unit} "
-                f"(GPU functions: {', '.join(gpu_names) or 'none'})",
-            )
-        gpu_names = (fun,)
-    chunks = []
-    for name in gpu_names:
-        if no_opt:
-            try:
-                src, reason = generate_plan_source(lower_device_plan(compiled.program.fun(name))), None
-            except (PlanUnsupported, CodegenUnsupported) as exc:
-                src, reason = None, str(exc)
-        else:
-            src, reason = compiled.plan_source(name)
-        if src is None:
-            chunks.append(f"# {name}: no jit source ({reason})\n")
-        else:
-            chunks.append(src.source)
     return "\n".join(chunks)
 
 
@@ -792,12 +764,10 @@ class DescendClient:
 
     def plan(self, source: Optional[str] = None, path: Optional[str] = None,
              name: Optional[str] = None, fun: Optional[str] = None,
-             no_opt: bool = False, jit: bool = False) -> Response:
+             no_opt: bool = False) -> Response:
         options: Dict[str, object] = {}
         if no_opt:
             options["no_opt"] = True
-        if jit:
-            options["jit"] = True
         return self.handle(
             Request(op=OP_PLAN, source=source, path=path, name=name, fun=fun, options=options)
         )

@@ -41,7 +41,7 @@ that want isolation (tests, cold-cache benchmarks) create their own
 :func:`session_scope`.
 
 The convenience façades ``compile_source`` / ``compile_program`` /
-``compile_file`` in :mod:`repro.descend.compiler` delegate here.
+``compile_file`` in :mod:`repro.descend.api` delegate here.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ PASS_PARSE = "parse"
 PASS_TYPECK = "typeck"
 PASS_LOWER_PLAN = "lower.plan"
 PASS_LOWER_PLAN_OPT = "lower.plan.opt"
-PASS_LOWER_PLAN_CODEGEN = "lower.plan.codegen"
 PASS_LOWER_CUDA = "lower.cuda"
 PASS_LOWER_PRINT = "lower.print"
 
@@ -77,7 +76,6 @@ PASS_ORDER = (
     PASS_TYPECK,
     PASS_LOWER_PLAN,
     PASS_LOWER_PLAN_OPT,
-    PASS_LOWER_PLAN_CODEGEN,
     PASS_LOWER_CUDA,
     PASS_LOWER_PRINT,
 )
@@ -178,14 +176,6 @@ class CompileSession:
         #: Fallback plan cache for programs without a content key (unhashable
         #: ASTs): keyed by id(fun_def), the FunDef retained to pin the id.
         self._plans_by_id: Dict[int, Tuple[object, Tuple[Optional[object], Optional[str]]]] = {}
-        #: JIT plan sources (the ``lower.plan.codegen`` pass), same two-map
-        #: shape as the plans above.
-        self._plan_sources: Dict[
-            Tuple[object, str], Tuple[Optional[object], Optional[str]]
-        ] = {}
-        self._plan_sources_by_id: Dict[
-            int, Tuple[object, Tuple[Optional[object], Optional[str]]]
-        ] = {}
         self._cuda: Dict[Tuple[object, Optional[Tuple[Tuple[str, int], ...]]], object] = {}
         self._printed: Dict[object, str] = {}
         self._digests: Dict[object, object] = {}
@@ -197,7 +187,6 @@ class CompileSession:
         self.hits = 0
         self.misses = 0
         self.plan_compiles = 0
-        self.plan_source_compiles = 0
 
     def _store(self, cache: Dict, key: object, value: object) -> None:
         """Insert with LRU eviction (dicts preserve insertion order, and
@@ -374,8 +363,6 @@ class CompileSession:
             "failures": len(self._failures),
             "plans": len(self._plans),
             "plan_compiles": self.plan_compiles,
-            "plan_sources": len(self._plan_sources),
-            "plan_source_compiles": self.plan_source_compiles,
             "cuda_modules": len(self._cuda),
             "hits": self.hits,
             "misses": self.misses,
@@ -393,8 +380,6 @@ class CompileSession:
         self._failures.clear()
         self._plans.clear()
         self._plans_by_id.clear()
-        self._plan_sources.clear()
-        self._plan_sources_by_id.clear()
         self._cuda.clear()
         self._printed.clear()
         self._digests.clear()
@@ -403,7 +388,6 @@ class CompileSession:
         self.hits = 0
         self.misses = 0
         self.plan_compiles = 0
-        self.plan_source_compiles = 0
 
     def timings_table(self) -> str:
         """Human-readable pass breakdown (the CLI's ``--timings`` output)."""
@@ -549,119 +533,6 @@ class CompileSession:
             self._store(self._plans_by_id, id(fun_def), (fun_def, entry))
         return entry
 
-    def plan_source(
-        self,
-        program: T.Program,
-        fun_name: str,
-        key: Optional[object] = None,
-        unit: str = "<program>",
-    ):
-        """The (cached) JIT plan source of one GPU function (thread-safe)."""
-        with self._lock:
-            return self._plan_source_locked(program, fun_name, key, unit)
-
-    def _plan_source_locked(
-        self,
-        program: T.Program,
-        fun_name: str,
-        key: Optional[object] = None,
-        unit: str = "<program>",
-    ):
-        """The (cached) JIT plan source of one GPU function.
-
-        Returns ``(plan_source, fallback_reason)``: exactly one of the two
-        is not ``None``.  The ``lower.plan.codegen`` pass compiles the
-        optimized plan IR (resolved through :meth:`_device_plan_locked`, so
-        a cached plan is reused) into a :class:`~repro.descend.plan.codegen.
-        PlanSource`; both successes and :class:`CodegenUnsupported` fallback
-        reasons persist as first-class ``plan-src`` artifacts, so a warm
-        store serves jit launches with zero codegen compute passes.
-        """
-        from repro.descend.plan import CodegenUnsupported, PlanSource, generate_plan_source
-
-        start = time.perf_counter()
-        if key is None:
-            key = self.program_key(program)
-        entry_key = (key, fun_name)
-        if key is not None and entry_key in self._plan_sources:
-            self._touch(self._plan_sources, entry_key)
-            self.record(
-                PassTiming(
-                    unit,
-                    PASS_LOWER_PLAN_CODEGEN,
-                    time.perf_counter() - start,
-                    True,
-                    fun_name,
-                    "memory",
-                )
-            )
-            return self._plan_sources[entry_key]
-        fun_def = program.fun(fun_name)
-        if key is None:
-            cached = self._plan_sources_by_id.get(id(fun_def))
-            if cached is not None and cached[0] is fun_def:
-                self._touch(self._plan_sources_by_id, id(fun_def))
-                self.record(
-                    PassTiming(
-                        unit,
-                        PASS_LOWER_PLAN_CODEGEN,
-                        time.perf_counter() - start,
-                        True,
-                        fun_name,
-                        "memory",
-                    )
-                )
-                return cached[1]
-        persisted = self.store_load("plan-src", key, extra=fun_name) if key is not None else None
-        if isinstance(persisted, tuple) and len(persisted) == 2:
-            status, payload = persisted
-            entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-            if status == "fallback" and isinstance(payload, str):
-                entry = (None, payload)
-            elif status == "ok" and isinstance(payload, PlanSource):
-                entry = (payload, None)
-            # Corrupt/stale artifacts degrade to a cold codegen, not a crash.
-            if entry is not None:
-                self.record(
-                    PassTiming(
-                        unit,
-                        PASS_LOWER_PLAN_CODEGEN,
-                        time.perf_counter() - start,
-                        True,
-                        fun_name,
-                        "store",
-                    )
-                )
-                self._store(self._plan_sources, entry_key, entry)
-                return entry
-        # Codegen input: the optimized plan, through its own cache tiers.
-        plan, plan_reason = self._device_plan_locked(program, fun_name, key, unit)
-        codegen_start = time.perf_counter()
-        self.plan_source_compiles += 1
-        if plan is None:
-            entry = (None, plan_reason)
-        else:
-            try:
-                entry = (generate_plan_source(plan), None)
-            except CodegenUnsupported as exc:
-                entry = (None, str(exc))
-        self.record(
-            PassTiming(
-                unit,
-                PASS_LOWER_PLAN_CODEGEN,
-                time.perf_counter() - codegen_start,
-                False,
-                fun_name,
-            )
-        )
-        if key is not None:
-            self._store(self._plan_sources, entry_key, entry)
-            record = ("ok", entry[0]) if entry[1] is None else ("fallback", entry[1])
-            self.store_put("plan-src", key, record, extra=fun_name)
-        else:
-            self._store(self._plan_sources_by_id, id(fun_def), (fun_def, entry))
-        return entry
-
     def cuda_module(
         self,
         program: T.Program,
@@ -754,7 +625,7 @@ class CompiledProgram:
     """A parsed and type-checked Descend program with its back-ends attached.
 
     Produced by :class:`CompilerDriver` (or the façades in
-    :mod:`repro.descend.compiler`).  All lowerings route through the
+    :mod:`repro.descend.api`).  All lowerings route through the
     session's content-addressed caches, so e.g. two ``kernel()`` handles of
     the same program share one device plan.
     """
@@ -794,10 +665,6 @@ class CompiledProgram:
     def device_plan(self, name: str):
         """The vectorized device plan for one GPU function (or its fallback reason)."""
         return self._session().device_plan(self.program, name, self.cache_key(), self.unit)
-
-    def plan_source(self, name: str):
-        """The JIT plan source for one GPU function (or its fallback reason)."""
-        return self._session().plan_source(self.program, name, self.cache_key(), self.unit)
 
     def run_host(
         self,

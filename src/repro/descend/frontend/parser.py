@@ -9,8 +9,10 @@ launches ``f::<<<X<1>, X<n>>>>(...)``, and ``for`` loops over nat ranges.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from typing import List, Optional, Tuple
+import operator
+from typing import Callable, List, Optional, Tuple
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim, DimName, dim_from_spec, parse_dim_name
@@ -57,6 +59,56 @@ _KINDS = {"nat": Kind.NAT, "mem": Kind.MEMORY, "dty": Kind.DATA_TYPE}
 #: recursive descent, and the passes that recurse over the nested terms it
 #: builds, stay well inside Python's recursion limit.
 MAX_NESTING = 32
+
+#: Deepest syntax tree a function may build.  Operator chains (`a * b * c`,
+#: `n + 1 + 1` in a nat, `x.fst.fst`, `x[0][0]`) parse in a loop without
+#: nesting, but each operator adds a level to the tree that the type checker,
+#: the lowerings and the interpreters then recurse over.  Figure 8 and the
+#: fuzz generator build trees of depth 25 at most; a chain of 350 operators
+#: already exhausts Python's default recursion limit.
+MAX_TREE_DEPTH = 128
+
+
+#: Field annotations of syntax nodes that never hold a child node.
+_LEAF_FIELD_TYPES = frozenset({"str", "int", "float", "bool", "Span", "DimName"})
+
+
+@functools.lru_cache(maxsize=None)
+def _children_getter(cls: type) -> Optional[Callable[[object], tuple]]:
+    """For a syntax node class, a function returning the values of its
+    fields that can hold child nodes, as a tuple; ``None`` for leaves."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = [field.name for field in dataclasses.fields(cls) if field.type not in _LEAF_FIELD_TYPES]
+    if not names:
+        return None
+    get = operator.attrgetter(*names)
+    return get if len(names) > 1 else lambda node: (get(node),)
+
+
+def _tree_too_deep(root: object) -> Optional[Span]:
+    """Where ``root``'s syntax tree first passes :data:`MAX_TREE_DEPTH`, or
+    ``None``.  The span is that of a node on the first level too deep (or
+    of ``root`` if none there has one).
+
+    Walks the tree level by level, without recursion: the tree being
+    measured is exactly the kind that would exhaust Python's recursion limit.
+    """
+    level = [root]
+    for _ in range(MAX_TREE_DEPTH):
+        deeper = []
+        for node in level:  # grows while iterating: tuples are flattened into it
+            if type(node) is tuple:
+                level.extend(node)
+                continue
+            children = _children_getter(type(node))
+            if children is not None:
+                deeper.extend(children(node))
+        if not deeper:
+            return None
+        level = deeper
+    spans = (getattr(node, "span", None) for node in level)
+    return next((span for span in spans if span is not None), getattr(root, "span", NO_SPAN))
 
 
 def _nesting(method):
@@ -164,7 +216,7 @@ class Parser:
         self.expect(TokenKind.ARROW, "return type")
         ret = self.parse_type()
         body = self.parse_block()
-        return T.FunDef(
+        fun_def = T.FunDef(
             name=name,
             generics=tuple(generics),
             params=tuple(params),
@@ -173,6 +225,14 @@ class Parser:
             body=body,
             span=start,
         )
+        too_deep = _tree_too_deep(fun_def)
+        if too_deep is not None:
+            raise self.error(
+                f"syntax tree deeper than {MAX_TREE_DEPTH} levels; "
+                "split long operator chains with `let` bindings",
+                too_deep,
+            )
+        return fun_def
 
     def _parse_generics(self) -> List[GenericParam]:
         generics: List[GenericParam] = []

@@ -402,8 +402,7 @@ class DescendKernel:
         self.session = session
         self._compiled = compiled
         self._plan_entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-        self._plan_source_entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-        #: why the last vectorized/jit launch fell back to a slower engine
+        #: why the last vectorized launch fell back to the reference engine
         #: (``None`` when it did not).
         self.fallback_reason: Optional[str] = None
 
@@ -423,15 +422,6 @@ class DescendKernel:
                 self.program, self.fun_def.name, key=key, unit=unit
             )
         return self._plan_entry
-
-    def _resolve_plan_source(self) -> Tuple[Optional[object], Optional[str]]:
-        """The cached ``(plan_source, fallback_reason)`` pair for this function."""
-        if self._plan_source_entry is None:
-            session, key, unit = self._session_and_key()
-            self._plan_source_entry = session.plan_source(
-                self.program, self.fun_def.name, key=key, unit=unit
-            )
-        return self._plan_source_entry
 
     # -- launch configuration ------------------------------------------------------------
     def grid_dim(self, nat_env: Optional[Dict[str, int]] = None) -> Tuple[int, int, int]:
@@ -476,23 +466,6 @@ class DescendKernel:
 
         mode = execution_mode if execution_mode is not None else device.execution_mode
         self.fallback_reason = None
-        if mode == "jit":
-            from repro.gpusim.engine import jit_impl
-
-            plan, reason = self._resolve_plan()
-            if plan is None:
-                # No plan at all: nothing for the vectorized engine either.
-                self.fallback_reason = reason
-                mode = "reference"
-            else:
-                plan_src, codegen_reason = self._resolve_plan_source()
-                if plan_src is None:
-                    # The plan lowered but codegen refused it: the plan
-                    # interpreter still runs it on the vectorized engine.
-                    self.fallback_reason = codegen_reason
-                    mode = "vectorized"
-                else:
-                    jit_impl(kernel)(plan_src.entry(nat_env, arg_values))
         if mode == "vectorized":
             from repro.gpusim.engine import vectorized_impl
 

@@ -17,12 +17,6 @@ The three stages:
 * :mod:`repro.descend.plan.execute` — the IR interpreter with exact
   cycle/race parity to the per-thread reference interpreter.
 
-A fourth, optional stage — :mod:`repro.descend.plan.codegen`, the
-``lower.plan.codegen`` pass — compiles the optimized IR further into a
-straight-line Python source function (:class:`PlanSource`, the ``jit``
-engine's input) with the interpreter kept as the parity oracle; helpers for
-the generated code live in :mod:`repro.descend.plan.runtime`.
-
 Because plans are plain data they pickle: the persistent artifact store
 keeps them as first-class ``plan`` artifacts, warm CLI invocations and
 sweep workers deserialize instead of re-lowering, and ``repro.cli plan``
@@ -35,24 +29,16 @@ the persistent store underneath); this package is purely functional.
 
 from __future__ import annotations
 
-from repro.descend.plan.codegen import (
-    CodegenUnsupported,
-    PlanSource,
-    generate_plan_source,
-)
 from repro.descend.plan.ir import DevicePlan, disassemble
 from repro.descend.plan.lower import PlanUnsupported, compile_device_plan, lower_device_plan
 from repro.descend.plan.optimize import PASSES, optimize_plan
 
 __all__ = [
-    "CodegenUnsupported",
     "DevicePlan",
-    "PlanSource",
     "PlanUnsupported",
     "PASSES",
     "compile_device_plan",
     "disassemble",
-    "generate_plan_source",
     "lower_device_plan",
     "optimize_plan",
 ]

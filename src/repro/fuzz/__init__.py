@@ -13,7 +13,7 @@ Three layers, mirroring the tentpole design:
   checks the cross-cutting properties: deterministic and cache-stable typeck
   verdicts, byte-identical diagnostics cold vs. cached, print→parse
   round-tripping, and — for well-typed programs — identical buffers, cycles
-  and empty race reports across the reference / vectorized / jit engines and
+  and empty race reports across the reference and vectorized engines and
   across raw vs. optimized plans (well-typed ⇒ race-free ∧ engine parity).
 
 * :mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus` — greedy spec-level

@@ -9,10 +9,10 @@ Properties, numbered the way the reports name them:
   accept/reject, the error code, and the *bytes* of the rendered diagnostic.
 * ``diagnostic-cache-stability`` — within one session, the cached verdict
   (second compile) renders byte-identically to the cold one.
-* ``execution-mode-honored`` — when a plan (and jit source) exist, asking
-  for an engine runs that engine; no silent fallback.
-* ``engine-parity`` — reference / vectorized / jit agree on cycles,
-  barriers, race reports, and every output buffer.
+* ``execution-mode-honored`` — when a plan exists, asking for the
+  vectorized engine runs it; no silent fallback to the reference engine.
+* ``engine-parity`` — the reference and vectorized engines agree on
+  cycles, barriers, race reports, and every output buffer.
 * ``well-typed-race-free`` — the paper's theorem, checked mechanically: a
   program the type checker accepts produces an *empty* race report on every
   engine.
@@ -44,7 +44,7 @@ from repro.errors import DescendError
 from repro.fuzz.generate import KernelSpec, build_program
 from repro.gpusim import GpuDevice
 
-ENGINES = ("reference", "vectorized", "jit")
+ENGINES = ("reference", "vectorized")
 
 #: The property names, in check order (reports aggregate by these).
 PROPERTIES = (
@@ -185,11 +185,8 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
     for fun_def in compiled.program.gpu_functions():
         name = fun_def.name
         plan, plan_reason = compiled.device_plan(name)
-        plan_src, src_reason = compiled.plan_source(name)
         if plan is None:
             result.fallbacks[f"{name}:plan"] = str(plan_reason)
-        if plan_src is None:
-            result.fallbacks[f"{name}:jit"] = str(src_reason)
 
         runs = {}
         for engine in ENGINES:
@@ -197,11 +194,7 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
             args = _case_args(fun_def, device, index)
             kernel = compiled.kernel(name)
             launch = kernel.launch(device, args, detect_races=True, execution_mode=engine)
-            expect_honored = (
-                engine == "reference"
-                or (engine == "vectorized" and plan is not None)
-                or (engine == "jit" and plan_src is not None)
-            )
+            expect_honored = engine == "reference" or plan is not None
             if expect_honored and launch.execution_mode != engine:
                 result.violations.append(
                     Violation(

@@ -95,7 +95,7 @@ class CostModel:
     * :meth:`record_access` — one :class:`MemoryAccess` at a time (the
       per-thread reference interpreter; the oracle),
     * :meth:`record_access_batch` — numpy arrays covering one vector operation
-      of a batched engine.
+      of the vectorized engine.
 
     Every lane's slot counter advances on each access the lane makes, so a
     ``(lane, slot)`` pair occurs in exactly one access.  A batch that covers

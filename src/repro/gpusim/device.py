@@ -176,8 +176,8 @@ class GpuDevice:
 
         mode = execution_mode if execution_mode is not None else self.execution_mode
         engine = get_engine(mode)
-        # One accounting implementation serves every engine: the reference
-        # engine records per access, the batched engines record whole
+        # One accounting implementation serves both engines: the reference
+        # engine records per access, the vectorized engine records whole
         # vector operations, and the cost model folds canonical full-grid
         # batches as they arrive (hence the geometry).
         threads_per_block = block_dim[0] * block_dim[1] * block_dim[2]

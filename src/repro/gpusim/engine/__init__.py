@@ -1,6 +1,6 @@
 """Execution engines of the GPU simulator.
 
-The simulator can execute a kernel launch with one of three interchangeable
+The simulator can execute a kernel launch with one of two interchangeable
 engines:
 
 * ``"reference"`` (:mod:`repro.gpusim.engine.reference`) — the original
@@ -14,14 +14,10 @@ engines:
   *identical* cycle counts and race verdicts at a fraction of the wall-clock
   time, but requires a vectorized kernel implementation (registered with
   :func:`vectorized_impl`).
-* ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — runs plan-JIT kernels
-  (straight-line Python emitted by the ``lower.plan.codegen`` pass,
-  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``.
-  Same cycle counts and race verdicts again.
 
-Every engine records into the one :class:`~repro.gpusim.cost.CostModel` and
+Both engines record into the one :class:`~repro.gpusim.cost.CostModel` and
 :class:`~repro.gpusim.races.RaceDetector` that ``GpuDevice.launch`` builds.
-The reference engine records access by access; the batched engines record
+The reference engine records access by access; the vectorized engine records
 one batch per vector operation, lanes in canonical (block-major,
 thread-minor) order.  A batch with every lane active and all lanes at one
 slot is folded into the cost totals as it is recorded; every other batch is
@@ -36,13 +32,10 @@ from repro.gpusim.engine.base import (
     EngineStats,
     ExecutionEngine,
     get_engine,
-    jit_impl,
-    resolve_jit,
     resolve_reference,
     resolve_vectorized,
     vectorized_impl,
 )
-from repro.gpusim.engine.jit import JitEngine
 from repro.gpusim.engine.reference import ReferenceEngine
 from repro.gpusim.engine.vectorized import VecCtx, VecLocalBuffer, VecSharedBuffer, VectorizedEngine
 
@@ -50,15 +43,12 @@ __all__ = [
     "EXECUTION_MODES",
     "EngineStats",
     "ExecutionEngine",
-    "JitEngine",
     "ReferenceEngine",
     "VecCtx",
     "VecLocalBuffer",
     "VecSharedBuffer",
     "VectorizedEngine",
     "get_engine",
-    "jit_impl",
-    "resolve_jit",
     "resolve_reference",
     "resolve_vectorized",
     "vectorized_impl",

@@ -16,8 +16,6 @@ Dim3 = Tuple[int, int, int]
 _VECTORIZED_ATTR = "__vectorized_impl__"
 #: Attribute linking a vectorized kernel back to its reference implementation.
 _REFERENCE_ATTR = "__reference_impl__"
-#: Attribute linking a reference kernel to its jit-compiled implementation.
-_JIT_ATTR = "__jit_impl__"
 
 
 @dataclass
@@ -82,30 +80,8 @@ def resolve_reference(kernel: Callable) -> Callable:
     return getattr(kernel, _REFERENCE_ATTR, kernel)
 
 
-def jit_impl(reference_kernel: Callable) -> Callable[[Callable], Callable]:
-    """Decorator registering a jit-compiled implementation for a kernel.
-
-    Same registration shape as :func:`vectorized_impl`; the jit engine
-    resolves this attribute.  ``DescendKernel.launch`` registers the
-    plan-codegen entry here per launch.
-    """
-
-    def register(jit_kernel: Callable) -> Callable:
-        setattr(reference_kernel, _JIT_ATTR, jit_kernel)
-        setattr(jit_kernel, _JIT_ATTR, jit_kernel)
-        setattr(jit_kernel, _REFERENCE_ATTR, reference_kernel)
-        return jit_kernel
-
-    return register
-
-
-def resolve_jit(kernel: Callable) -> Optional[Callable]:
-    """The jit implementation registered for ``kernel`` (or ``None``)."""
-    return getattr(kernel, _JIT_ATTR, None)
-
-
 #: The execution modes a device or launch can select.
-EXECUTION_MODES: Tuple[str, ...] = ("reference", "vectorized", "jit")
+EXECUTION_MODES: Tuple[str, ...] = ("reference", "vectorized")
 
 # Engine instances are stateless; built lazily to avoid circular imports.
 _ENGINES = {}
@@ -114,11 +90,10 @@ _ENGINES = {}
 def get_engine(mode: str) -> ExecutionEngine:
     """Look up an engine instance by mode name."""
     if not _ENGINES:
-        from repro.gpusim.engine.jit import JitEngine
         from repro.gpusim.engine.reference import ReferenceEngine
         from repro.gpusim.engine.vectorized import VectorizedEngine
 
-        for engine in (ReferenceEngine(), VectorizedEngine(), JitEngine()):
+        for engine in (ReferenceEngine(), VectorizedEngine()):
             _ENGINES[engine.name] = engine
     try:
         return _ENGINES[mode]

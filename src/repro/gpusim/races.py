@@ -16,7 +16,7 @@ the Descend type checker rejects the equivalent program *statically*.
 
 Accesses arrive one at a time (:meth:`RaceDetector.record`, the per-thread
 reference interpreter and the oracle) or as whole numpy batches
-(:meth:`RaceDetector.record_batch`, every batched engine).  At
+(:meth:`RaceDetector.record_batch`, the vectorized engine).  At
 :meth:`RaceDetector.check` the batches are analysed with one
 :func:`lexicographic_order` sort and the :func:`run_starts` boundary flags
 of that one permutation; only the few locations that actually race are

@@ -163,6 +163,35 @@ class TestEngineBench:
         assert row.scale == 2
         assert row.cycles_match
 
+    def test_vectorized_column_is_timed_warm(self, monkeypatch):
+        """The vectorized engine runs once untimed before its timed repeats;
+        the reference column stays a single cold run."""
+        import time
+
+        from repro.benchsuite import enginebench
+        from repro.benchsuite.runner import _reference_and_data
+
+        _data, expected = _reference_and_data(workload("reduce", "small"))
+        calls = []
+
+        def runner(device, params, data):
+            calls.append(device.execution_mode)
+            if len(calls) == 1:
+                time.sleep(0.3)  # a slow first run must not reach the column
+            return 42.0, expected, 0, None
+
+        monkeypatch.setitem(enginebench._CUDA_RUNNERS, "reduce", runner)
+        row = compare_engines("reduce", "small", repeats=2)
+        # One untimed vectorized run, then the repeats; no reference warm-up.
+        assert calls == ["vectorized"] * 3 + ["reference"] * 2
+        assert row.vectorized_wall_s < 0.3
+        assert row.cycles_match
+
+        calls.clear()
+        skipped = compare_engines("reduce", "small", budget_s=0.0)
+        assert calls == ["vectorized"] * 2
+        assert skipped.skipped == "budget" and skipped.vectorized_wall_s < 0.3
+
     def test_aggregates(self):
         result = EngineBenchResult(
             rows=[
@@ -307,10 +336,7 @@ class TestSweepOrchestrator:
         )
 
         def stable(row):
-            drop = (
-                "reference_wall_s", "vectorized_wall_s", "jit_wall_s",
-                "speedup", "jit_speedup", "host",
-            )
+            drop = ("reference_wall_s", "vectorized_wall_s", "speedup", "host")
             return {k: v for k, v in row.as_dict().items() if k not in drop}
 
         assert [stable(r) for r in serial.rows] == [stable(r) for r in parallel.rows]
@@ -424,7 +450,6 @@ class TestSweepDispatch:
         "benchmark": "reduce", "size": "small", "variant": "descend", "scale": 1,
         "reference_cycles": 10.0, "vectorized_cycles": 10.0,
         "reference_wall_s": 0.5, "vectorized_wall_s": 0.1,
-        "jit_cycles": 10.0, "jit_wall_s": 0.05,
         "footprint_bytes": 1024, "skipped": None, "retries": 0,
         "host": "fake-worker:1",
     }

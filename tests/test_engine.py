@@ -19,10 +19,7 @@ from repro.gpusim.engine import EXECUTION_MODES, get_engine, resolve_reference, 
 def run_both(run, data):
     """Run a scenario on both engines; returns {mode: (result, launches)}.
 
-    The jit mode is excluded: it executes generated plan source, which only
-    Descend programs have — these handwritten kernels are reference
-    generators with registered vectorized ports (tests/test_plan.py holds
-    the three-way differential for Descend programs).
+    (tests/test_plan.py holds the same differential for Descend programs.)
     """
     out = {}
     for mode in ("reference", "vectorized"):
@@ -478,6 +475,23 @@ class TestEngineSelection:
             GpuDevice(execution_mode="simd")
         with pytest.raises(LaunchConfigurationError):
             get_engine("simd")
+
+    def test_removed_engine_mode_is_unknown(self):
+        """Only two engines exist: naming the retired plan-codegen mode, per
+        device or per Descend launch, is the ordinary unknown-mode error."""
+        from repro.descend.interp import DescendKernel
+        from repro.descend_programs import vector as d_vector
+
+        removed = "jit"
+        assert EXECUTION_MODES == ("reference", "vectorized")
+        with pytest.raises(LaunchConfigurationError, match="unknown execution mode"):
+            GpuDevice(execution_mode=removed)
+        device = GpuDevice()
+        buf = device.to_device(np.arange(64, dtype=np.float64))
+        kernel = DescendKernel(d_vector.build_scale_program(n=64, block_size=32), "scale_vec")
+        with pytest.raises(LaunchConfigurationError, match="unknown execution mode"):
+            kernel.launch(device, {"vec": buf}, execution_mode=removed)
+        assert device.launch_log == []
 
     def test_unported_kernel_rejected_in_vectorized_mode(self, device_vectorized):
         def lonely_kernel(ctx, out):

@@ -2,17 +2,19 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.descend.api import ERR_SYNTAX, OP_CHECK, LocalBackend, Request
+from repro.descend.api import ERR_SYNTAX, OP_CHECK, LocalBackend, Request, compile_source
 from repro.descend.ast import terms as T
 from repro.descend.ast.printer import print_program
 from repro.descend.ast.types import ArrayType, ArrayViewType, RefType
 from repro.descend.frontend import parse_program, tokenize
-from repro.descend.frontend.parser import MAX_NESTING
+from repro.descend.frontend.parser import MAX_NESTING, MAX_TREE_DEPTH
 from repro.descend.frontend.tokens import TokenKind
 from repro.descend.typeck import check_program
 from repro.errors import DescendSyntaxError, DescendTypeError
+from repro.gpusim import GpuDevice
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -200,6 +202,48 @@ class TestParser:
         shallow = text.replace("3.0", "(" * 20 + "3.0" + ")" * 20)
         prog = parse_program(shallow)
         assert print_program(prog) == print_program(parse_program(text))
+
+    _STORE_RHS = "(vec.group::<64>[[block]][[thread]] * 3.0)"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("3.0", " * ".join(["3.0"] * 3000)),
+            ("f64; 1024", "f64; " + " + ".join(["1"] * 3000)),
+            (_STORE_RHS, "vec" + ".fst" * 3000),
+            (_STORE_RHS, "vec" + "[0]" * 3000),
+        ],
+        ids=["binary-operators", "nat-operators", "projections", "indices"],
+    )
+    def test_long_operator_chain_is_a_syntax_error(self, old, new):
+        """A flat chain parses in a loop but builds a tree as deep as it is
+        long, deeper than the recursive passes after the parser can take."""
+        text = (EXAMPLES / "scale_vec.descend").read_text().replace(old, new)
+        message = f"syntax tree deeper than {MAX_TREE_DEPTH} levels"
+        with pytest.raises(DescendSyntaxError, match=message):
+            compile_source(text)
+        response = LocalBackend().handle(Request(op=OP_CHECK, source=text))
+        assert response.error_code == ERR_SYNTAX
+        assert message in response.error["message"]
+        assert response.diagnostics
+
+    def test_operator_chain_below_the_limit_runs_on_both_engines(self):
+        # scale_vec puts the multiplication 14 levels below the function.
+        chain = " * ".join(["1.0"] * (MAX_TREE_DEPTH - 20))
+        text = (EXAMPLES / "scale_vec.descend").read_text().replace("3.0", chain)
+        compiled = compile_source(text)
+        assert LocalBackend().handle(Request(op=OP_CHECK, source=text)).ok
+        assert "scale_vec" in compiled.to_cuda().full_source()
+        runs = {}
+        for mode in ("reference", "vectorized"):
+            device = GpuDevice(execution_mode=mode)
+            buf = device.to_device(np.arange(1024, dtype=np.float64))
+            launch = compiled.kernel("scale_vec").launch(device, {"vec": buf})
+            assert launch.execution_mode == mode
+            runs[mode] = (launch.cycles, device.to_host(buf))
+        assert runs["reference"][0] == runs["vectorized"][0]
+        for _cycles, result in runs.values():
+            assert np.array_equal(result, np.arange(1024, dtype=np.float64))
 
 
 class TestRoundTrip:

@@ -84,8 +84,8 @@ class TestCampaign:
         # Every mutant of this campaign is ill-typed and rejected.
         assert report["mutants"] == 9
         assert report["mutants_rejected"] == 9
-        # No silent plan/jit fallbacks: every well-typed case really ran
-        # all three engines.
+        # No silent plan fallbacks: every well-typed case really ran
+        # both engines.
         assert report["fallbacks"] == {}
 
     def test_report_is_byte_identical_across_runs(self):

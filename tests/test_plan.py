@@ -8,7 +8,9 @@ Covers the tentpole guarantees of `repro.descend.plan`:
   op program but never the observable execution (cycles, buffers);
 * the disassembler is deterministic, and the checked-in golden IR dumps of
   the Figure 8 programs make IR changes reviewable diffs
-  (regenerate with ``REPRO_REGEN_GOLDEN=1``).
+  (regenerate with ``REPRO_REGEN_GOLDEN=1``);
+* the reference and vectorized engines agree exactly, on the Figure 8
+  programs, a racy program, and divergent masked reads and writes.
 """
 
 import dataclasses
@@ -42,17 +44,17 @@ from repro.descend.builder import (
 from repro.descend.interp import DescendKernel
 from repro.descend.nat import NatConst
 from repro.descend.plan import (
-    CodegenUnsupported,
     DevicePlan,
     PlanUnsupported,
     compile_device_plan,
     disassemble,
-    generate_plan_source,
     lower_device_plan,
     optimize_plan,
 )
-from repro.descend.plan.ir import ConstOp, FusedArithOp, IfOp
+from repro.descend.plan.ir import ConstOp, FusedArithOp
 from repro.descend_programs import vector
+from repro.fuzz.generate import KernelSpec
+from repro.fuzz.harness import check_spec
 from repro.gpusim import GpuDevice
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "plan"
@@ -315,43 +317,11 @@ class TestGoldenIR:
         )
 
 
-class TestGoldenJitSource:
-    """Checked-in generated-Python dumps of the Figure 8 programs.
-
-    The `lower.plan.codegen` pass is a source-to-source compiler, so its
-    output is reviewable exactly like the IR dumps above.  Regenerate after
-    an intentional codegen change with::
-
-        REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_plan.py
-    """
-
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_figure8_jit_source_matches_golden(self, name):
-        prog = PROGRAMS[name]()
-        dump = "\n".join(
-            generate_plan_source(compile_device_plan(fun_def)).source
-            for fun_def in prog.gpu_functions()
-        )
-        path = GOLDEN_DIR / f"{name}.py"
-        if os.environ.get("REPRO_REGEN_GOLDEN") == "1":
-            GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-            path.write_text(dump)
-            pytest.skip(f"regenerated {path}")
-        assert path.exists(), (
-            f"missing golden jit source dump {path}; generate it with "
-            f"REPRO_REGEN_GOLDEN=1 python -m pytest {__file__}"
-        )
-        assert dump == path.read_text(), (
-            f"generated source changed for {name}; review the diff and regenerate "
-            f"with REPRO_REGEN_GOLDEN=1 python -m pytest {__file__}"
-        )
-
-
 class TestEngineDifferential:
-    """reference vs vectorized vs jit: byte-identical observable behaviour.
+    """reference vs vectorized: byte-identical observable behaviour.
 
-    The jit engine replays the *same* plan through generated straight-line
-    source, so cycles, barriers, races, and output buffers must all match
+    The vectorized engine executes the plan IR over whole-grid numpy
+    batches, so cycles, barriers, races, and output buffers must all match
     the tree-walking reference interpreter exactly — not approximately.
     """
 
@@ -360,7 +330,7 @@ class TestEngineDifferential:
         prog = PROGRAMS[name]()
         for fun_def in prog.gpu_functions():
             results = {}
-            for engine in ("reference", "vectorized", "jit"):
+            for engine in ("reference", "vectorized"):
                 device = GpuDevice(execution_mode=engine)
                 args = {}
                 for p in fun_def.params:
@@ -383,18 +353,16 @@ class TestEngineDifferential:
                     if not isinstance(args[p.name], float)
                 }
                 results[engine] = (launch.cycles, launch.barriers, launch.races, buffers)
-            ref = results["reference"]
-            for engine in ("vectorized", "jit"):
-                got = results[engine]
-                assert got[0] == ref[0], f"{fun_def.name}: {engine} cycles diverged"
-                assert got[1] == ref[1], f"{fun_def.name}: {engine} barriers diverged"
-                assert got[2] == ref[2], f"{fun_def.name}: {engine} races diverged"
-                for key in ref[3]:
-                    assert np.array_equal(got[3][key], ref[3][key]), (
-                        f"{fun_def.name}: {engine} buffer {key} diverged"
-                    )
+            ref, got = results["reference"], results["vectorized"]
+            assert got[0] == ref[0], f"{fun_def.name}: vectorized cycles diverged"
+            assert got[1] == ref[1], f"{fun_def.name}: vectorized barriers diverged"
+            assert got[2] == ref[2], f"{fun_def.name}: vectorized races diverged"
+            for key in ref[3]:
+                assert np.array_equal(got[3][key], ref[3][key]), (
+                    f"{fun_def.name}: vectorized buffer {key} diverged"
+                )
 
-    def test_jit_reports_races_identically(self):
+    def test_racy_program_reports_races_identically(self):
         from repro.descend_programs import unsafe
 
         def _normalized(report):
@@ -409,7 +377,7 @@ class TestEngineDifferential:
         # otherwise the engines keep different truncated subsets.
         prog = unsafe.build_rev_per_block_race(n=8, block_size=8)
         results = {}
-        for engine in ("reference", "vectorized", "jit"):
+        for engine in ("reference", "vectorized"):
             device = GpuDevice(execution_mode=engine)
             fun_def = next(iter(prog.gpu_functions()))
             args = {}
@@ -422,50 +390,87 @@ class TestEngineDifferential:
             launch = kernel.launch(device, args, detect_races=True)
             assert launch.execution_mode == engine, kernel.fallback_reason
             results[engine] = [_normalized(r) for r in launch.races]
-        assert results["jit"], "expected the racy program to race"
-        # The jit detector replays the same batched analysis as the plan
-        # interpreter: identical reports in identical order.
-        assert results["jit"] == results["vectorized"]
+        assert results["vectorized"], "expected the racy program to race"
         # The reference engine records accesses one lane at a time, so its
         # report order may differ, but the set of racing pairs must agree.
-        assert sorted(results["jit"]) == sorted(results["reference"])
+        assert sorted(results["vectorized"]) == sorted(results["reference"])
 
 
-class TestJitFallback:
-    def test_oversized_codegen_is_unsupported(self):
-        """Dual-path IfOp emission can explode; codegen refuses, not OOMs."""
-        plan = compile_device_plan(
-            vector.build_scale_program(n=64, block_size=32).fun("scale_vec")
+# Hand-built specs (the fuzz generator's format) that force the masked
+# scatter/gather paths of the plan executor: the harness oracle runs every
+# case on the reference and the vectorized engine, so a wrong mask merge
+# shows up as an engine-parity or race-freedom violation.
+
+
+def _spec(phases, **kwargs) -> KernelSpec:
+    defaults = dict(
+        num_blocks=2, block_size=4, ept=2, num_inputs=1,
+        out_chains=("direct",), use_tmp=False, phases=phases, mutation="",
+    )
+    defaults.update(kwargs)
+    return KernelSpec(**defaults)
+
+
+class TestDivergentExecution:
+    def test_masked_register_merge_under_divergence(self):
+        # r diverges on a data-dependent condition, then lands in out0:
+        # the scalar-local np.where merge must keep inactive lanes intact.
+        spec = _spec((
+            ("phase", (
+                ("let", "r0", ("in", 0, ("chain", "direct"))),
+                ("if_reg", ("eq", ("in", 0, ("chain", "direct")), ("lit", 0.25)),
+                 "r0", ("add", ("reg", "r0"), ("lit", 1.0))),
+                ("wout", 0, ("reg", "r0")),
+            )),
+        ))
+        result = check_spec(spec, index=0)
+        assert result.verdict == "well-typed"
+        assert result.ok, [v.as_dict() for v in result.violations]
+
+    def test_masked_scatter_with_divergent_overwrite(self):
+        # Baseline write plus a conditional overwrite of the *same* cells:
+        # inactive lanes must keep the baseline value (masked scatter).
+        spec = _spec((
+            ("phase", (
+                ("wout", 0, ("in", 0, ("chain", "direct"))),
+                ("wout_if", ("ne", ("in", 0, ("chain", "direct")), ("lit", 0.5)),
+                 0, ("mul", ("in", 0, ("chain", "direct")), ("lit", 2.0))),
+            )),
+        ))
+        result = check_spec(spec, index=1)
+        assert result.verdict == "well-typed"
+        assert result.ok, [v.as_dict() for v in result.violations]
+
+    def test_masked_gather_through_reversed_views(self):
+        # Reads through a reversed chain while writes go out directly —
+        # the gather offsets differ per lane and are masked by divergence.
+        spec = _spec((
+            ("phase", (
+                ("let", "r0", ("in", 0, ("chain", "rev_chunk"))),
+                ("wout_if", ("lt", ("in", 0, ("chain", "rev_chunk")), ("lit", 1.0)),
+                 0, ("reg", "r0")),
+                ("wout", 0, ("add", ("reg", "r0"), ("lit", 0.25))),
+            )),
+        ))
+        result = check_spec(spec, index=2)
+        assert result.verdict == "well-typed"
+        assert result.ok, [v.as_dict() for v in result.violations]
+
+    def test_shared_tmp_roundtrip_under_divergence(self):
+        # Divergent write into shared tmp, sync, cross-thread read back out:
+        # exercises masked stores into gpu.shared plus the gather after.
+        spec = _spec(
+            (
+                ("phase", (("wtmp", ("in", 0, ("chain", "direct"))),)),
+                ("sync",),
+                ("phase", (
+                    ("let", "r0", ("tmp", ("t_rev",))),
+                    ("wout", 0, ("reg", "r0")),
+                )),
+            ),
+            use_tmp=True,
+            ept=1,
         )
-        body_ops = plan.body
-        for _ in range(16):
-            body_ops = (IfOp(cond=0, then_ops=body_ops, else_ops=body_ops),)
-        bomb = dataclasses.replace(plan, body=body_ops)
-        with pytest.raises(CodegenUnsupported, match="lines"):
-            generate_plan_source(bomb)
-
-    def test_launch_degrades_to_vectorized_with_reason(self):
-        """jit launch with no generated source runs vectorized, not reference."""
-        prog = vector.build_scale_program(n=128, block_size=32)
-        data = np.arange(128, dtype=np.float64)
-
-        vec_device = GpuDevice(execution_mode="vectorized")
-        vec_buf = vec_device.to_device(data)
-        vec_launch = DescendKernel(prog, "scale_vec").launch(
-            vec_device, {"vec": vec_buf}
-        )
-
-        jit_device = GpuDevice(execution_mode="jit")
-        jit_buf = jit_device.to_device(data)
-        kernel = DescendKernel(prog, "scale_vec")
-        # Inject a codegen refusal, exactly as the driver records one.
-        reason = "generated source exceeds 20000 lines"
-        kernel._plan_source_entry = (None, reason)
-        launch = kernel.launch(jit_device, {"vec": jit_buf})
-
-        assert launch.execution_mode == "vectorized"
-        assert kernel.fallback_reason == reason
-        assert launch.cycles == vec_launch.cycles
-        assert np.array_equal(
-            jit_device.to_host(jit_buf), vec_device.to_host(vec_buf)
-        )
+        result = check_spec(spec, index=3)
+        assert result.verdict == "well-typed"
+        assert result.ok, [v.as_dict() for v in result.violations]

@@ -207,6 +207,34 @@ class TestProtocolRobustness:
         frame = _raw_exchange(socket_path, encode_frame({"v": API_VERSION, "op": "compile"}))
         assert frame["error"]["code"] == ERR_BAD_REQUEST
 
+    def test_removed_plan_option_gets_bad_request(self, server, socket_path):
+        """A `plan` asking for the removed generated-source rendering must
+        not silently get the IR disassembly instead."""
+        removed = "jit"
+        frame = _raw_exchange(
+            socket_path,
+            encode_frame({
+                "v": API_VERSION, "op": "plan", "source": GOOD_SOURCE,
+                "options": {removed: True}, "id": "p",
+            }),
+        )
+        assert frame["status"] == "error" and frame["id"] == "p"
+        assert frame["error"]["code"] == ERR_BAD_REQUEST
+        assert removed in frame["error"]["message"]
+        assert not frame.get("artifacts")
+        local = LocalBackend().handle(
+            Request(op="plan", source=GOOD_SOURCE, options={removed: True})
+        )
+        assert local.error_code == ERR_BAD_REQUEST
+        assert local.error_message == frame["error"]["message"]
+        # The options schema v1 does define still work.
+        assert LocalBackend().handle(
+            Request(op="plan", source=GOOD_SOURCE, options={"no_opt": True})
+        ).ok
+        assert LocalBackend().handle(
+            Request(op=OP_COMPILE, source=GOOD_SOURCE, options={"deadline_ms": 1000})
+        ).ok
+
     def test_oversized_frame_gets_structured_error(self, tmp_path):
         sock = str(tmp_path / "small.sock")
         config = ServeConfig(sock, max_frame_bytes=4096)
@@ -375,15 +403,6 @@ class TestSessionThreadSafety:
 
 
 class TestFacadeSurface:
-    def test_compiler_shims_warn_and_delegate(self):
-        from repro.descend import compiler
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compiled = compiler.compile_source(GOOD_SOURCE, "shim.descend")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert compiled.function_names == ("scale_vec",)
-
     def test_api_compile_source_does_not_warn(self):
         from repro.descend import api
 

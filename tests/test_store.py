@@ -62,8 +62,6 @@ def _compile_everything(session: CompileSession):
     cuda = compiled.to_cuda().full_source()
     printed = compiled.to_source()
     plan, reason = compiled.device_plan("doubler")
-    src, _src_reason = compiled.plan_source("doubler")
-    assert src is not None
     return compiled, cuda, printed, (disassemble(plan) if plan is not None else None, reason)
 
 
@@ -129,7 +127,7 @@ class TestWarmStore:
         stats = session.stats()["store"]
         assert stats["entries"] > 0
         assert stats["writes"] > 0
-        assert set(stats["kinds"]) == {"program", "cuda", "print", "plan", "plan-src"}
+        assert set(stats["kinds"]) == {"program", "cuda", "print", "plan"}
         # The per-kind breakdown reports blob counts and byte totals.
         for bucket in stats["kinds"].values():
             assert bucket["count"] > 0
@@ -411,15 +409,13 @@ class TestCacheCli:
         good = tmp_path / "good.descend"
         good.write_text(DOUBLER)
         # `plan` compiles everything the pipeline produces for a GPU
-        # function: program unit, device plan (and, via stats, their blobs);
-        # `--jit` additionally persists the generated source as `plan-src`.
+        # function: program unit, device plan (and, via stats, their blobs).
         assert cli_main(["plan", str(good), *store_arg]) == 0
-        assert cli_main(["plan", str(good), "--jit", *store_arg]) == 0
         capsys.readouterr()
 
         assert cli_main(["cache", "stats", *store_arg]) == 0
         out = capsys.readouterr().out
-        for kind in ("program", "plan", "plan-src"):
+        for kind in ("program", "plan"):
             assert any(
                 line.strip().startswith(kind) and "blobs" in line and "bytes" in line
                 for line in out.splitlines()
@@ -429,8 +425,6 @@ class TestCacheCli:
         kinds = json.loads(capsys.readouterr().out)["kinds"]
         assert kinds["plan"]["count"] == 1
         assert kinds["plan"]["bytes"] > 0
-        assert kinds["plan-src"]["count"] == 1
-        assert kinds["plan-src"]["bytes"] > 0
 
     def test_unusable_store_path_is_a_clean_error(self, tmp_path, capsys):
         not_a_dir = tmp_path / "file"
@@ -582,104 +576,6 @@ class TestPlanPersistence:
         )
         assert plan is not None and reason is None  # cold re-lowering, not a crash
         assert warm.plan_compiles == 1
-
-
-class TestPlanSourcePersistence:
-    """Generated jit source is a first-class `plan-src` store artifact."""
-
-    def test_warm_jit_launch_runs_zero_codegen_passes(self, tmp_path):
-        import numpy as np
-
-        data = np.arange(64, dtype=np.float64)
-
-        def launch(session):
-            from repro.gpusim import GpuDevice
-
-            compiled = CompilerDriver(session).compile_source(DOUBLER, name="doubler.descend")
-            device = GpuDevice(execution_mode="jit")
-            buf = device.to_device(data)
-            launch = compiled.kernel("doubler").launch(device, {"vec": buf})
-            assert launch.execution_mode == "jit"
-            return launch.cycles, device.to_host(buf).copy()
-
-        cold_cycles, cold_result = launch(_warm_session(tmp_path / "store"))
-        warm = _warm_session(tmp_path / "store")
-        warm_cycles, warm_result = launch(warm)
-        assert warm_cycles == cold_cycles
-        assert np.array_equal(warm_result, cold_result)
-        # The warm launch deserialized the generated source from the store:
-        # zero codegen (and zero lowering) compute passes.
-        assert warm.plan_source_compiles == 0
-        assert warm.plan_compiles == 0
-        assert warm.misses == 0
-        codegen_timings = [t for t in warm.timings if t.name == "lower.plan.codegen"]
-        assert codegen_timings and all(t.tier == "store" for t in codegen_timings)
-
-    def test_corrupt_plan_source_artifact_degrades_to_recompiling(self, tmp_path):
-        session = _warm_session(tmp_path / "store")
-        compiled = CompilerDriver(session).compile_source(DOUBLER, name="doubler.descend")
-        src, reason = compiled.plan_source("doubler")
-        assert src is not None and reason is None
-        digest = session.artifact_digest(
-            "plan-src", session.source_key(DOUBLER, "doubler.descend"), extra="doubler"
-        )
-        path = session.store._object_path(digest)
-        path.write_bytes(pickle.dumps(("ok", "not a PlanSource"), protocol=4))
-
-        warm = _warm_session(tmp_path / "store")
-        warm_src, warm_reason = (
-            CompilerDriver(warm)
-            .compile_source(DOUBLER, name="doubler.descend")
-            .plan_source("doubler")
-        )
-        assert warm_src is not None and warm_reason is None
-        assert warm_src.source == src.source  # regenerated, byte-identical
-        assert warm.plan_source_compiles == 1
-
-    def test_codegen_fallback_reason_persists(self, tmp_path):
-        """A codegen refusal is stored too: warm sessions skip re-trying."""
-        from unittest import mock
-
-        from repro.descend.plan import CodegenUnsupported
-
-        cold = _warm_session(tmp_path / "store")
-        # The driver imports the generator at call time from the plan package.
-        with mock.patch(
-            "repro.descend.plan.generate_plan_source",
-            side_effect=CodegenUnsupported("generated source exceeds the line bound"),
-        ):
-            compiled = CompilerDriver(cold).compile_source(DOUBLER, name="doubler.descend")
-            src, reason = compiled.plan_source("doubler")
-        assert src is None and "line bound" in reason
-
-        warm = _warm_session(tmp_path / "store")
-        warm_src, warm_reason = (
-            CompilerDriver(warm)
-            .compile_source(DOUBLER, name="doubler.descend")
-            .plan_source("doubler")
-        )
-        assert warm_src is None
-        assert warm_reason == reason
-        assert warm.plan_source_compiles == 0
-
-    def test_gc_evicts_plan_source_under_lru(self, tmp_path):
-        session = _warm_session(tmp_path / "store")
-        compiled = CompilerDriver(session).compile_source(DOUBLER, name="doubler.descend")
-        src, reason = compiled.plan_source("doubler")
-        assert src is not None and reason is None
-        assert "plan-src" in session.store.stats()["kinds"]
-
-        shrunk = session.store.gc(max_bytes=0)
-        assert shrunk["entries"] == 0  # plan-src evicts like any artifact
-
-        warm = _warm_session(tmp_path / "store")
-        warm_src, _ = (
-            CompilerDriver(warm)
-            .compile_source(DOUBLER, name="doubler.descend")
-            .plan_source("doubler")
-        )
-        assert warm_src is not None
-        assert warm.plan_source_compiles == 1  # recomputed after eviction
 
 
 class TestFuzzReproKind:
