@@ -1,40 +1,51 @@
-"""Distributed sweep dispatch: pull-based work stealing over TCP.
+"""Parallel bench sweeps: pull-based work stealing over TCP.
 
-:func:`repro.benchsuite.sweep.run_cells` shards bench cells across local
-``spawn``-ed pool workers; this module is its multi-machine sibling.  A
-:class:`SweepCoordinator` listens on a TCP port and hands cells to any
-worker that connects — locally spawned subprocesses
-(:func:`dispatch_cells` starts ``jobs`` of them) or remote ones joined by
-hand via ``descendc sweep-worker --connect HOST:PORT``.  All workers warm
-from one shared artifact store, normally the daemon's HTTP store endpoint
-(``--store-url``), so the warm-store zero-compute property becomes
-fleet-wide.
+A benchsuite sweep is a list of independent cells — one ``(variant,
+benchmark, size, scale)`` workload measured on both execution engines.
+Serial execution (:mod:`repro.benchsuite.enginebench`) is the default and
+the parity oracle; ``--jobs N`` runs the same cells through this module.
+A :class:`SweepCoordinator` listens on a TCP port and hands cells to any
+worker that connects: the ``N`` ``descendc sweep-worker`` subprocesses
+:func:`dispatch_cells` spawns locally, plus any joined by hand from other
+machines via ``descendc sweep-worker --connect HOST:PORT``.  Every worker
+attaches the sweep's artifact store — a local directory or a daemon's
+HTTP store endpoint (``--store http://HOST:PORT``) — so worker N does not
+re-typecheck the programs worker M already compiled, and the warm-store
+zero-compute property holds across processes and hosts.
 
-Design points:
+Guarantees relative to the serial sweep:
 
+* **Same rows, same order.**  Rows travel as their
+  :meth:`~repro.benchsuite.enginebench.EngineBenchRow.as_dict` payload,
+  rebuilt with :meth:`~repro.benchsuite.enginebench.EngineBenchRow.from_dict`
+  (constructor fields only), and are merged by cell index.  Cycle counts,
+  race counts, parity verdicts, footprints and budget-skip decisions are
+  deterministic and process-independent; only the timing, ``host`` and
+  ``retries`` columns differ from the serial report.
 * **Pull, don't shard.**  Workers *request* the next cell when idle
   (``{"op": "next"}``) instead of receiving a static slice up front —
   work stealing by construction, so a slow host finishes fewer cells
   instead of straggling the whole sweep.
-* **Same wire idiom as the daemon.**  Frames are the newline-delimited
-  key-sorted JSON of API schema v1 (:func:`repro.descend.api.encode_frame`),
-  and rows travel as their :meth:`~repro.benchsuite.enginebench.EngineBenchRow.as_dict`
-  payload, rebuilt with :meth:`~repro.benchsuite.enginebench.EngineBenchRow.from_dict`
-  — constructor fields only, so a dispatched row is value-identical to a
-  serial one (the serial sweep stays the parity oracle; only the timing
-  and ``host`` columns differ).
-* **PR 7 retry machinery, verbatim semantics.**  Every assignment carries
-  the cell's attempt count as its fault ``epoch``; the worker installs it
-  in ``REPRO_FAULTS_EPOCH`` before measuring, so "crash in round 0, heal
-  in round 1" chaos plans govern dispatched workers exactly like pool
-  workers.  A worker that dies mid-cell (connection EOF with an
-  assignment outstanding) fails that attempt; past ``max_attempts`` the
-  sweep aborts with a :class:`BenchmarkError` naming the cell — loud,
+* **Retry, then fail loud.**  A cell whose worker reports an error or
+  dies holding it (connection EOF) fails that attempt and is requeued, up
+  to :data:`DEFAULT_MAX_ATTEMPTS` tries; a surviving row records its
+  failed tries in ``retries``.  A cell that fails every attempt aborts the
+  sweep with a :class:`BenchmarkError` naming it, and workers that keep
+  dying before holding any cell exhaust a bounded respawn budget — loud,
   structured, never a hang.
-* **Fault seam.**  The coordinator's assignment path checks the
-  ``sweep.dispatch`` site: an injected failure drops the worker's
-  connection with the cell assigned, exercising the same requeue path a
-  killed worker takes.
+* **Deterministic chaos.**  Three :mod:`repro.faults` seams cover the
+  executor: ``sweep.spawn`` (worker setup), ``sweep.cell`` (one cell's
+  measurement) and ``sweep.dispatch`` (the coordinator's assignment path;
+  a firing drops the worker's connection with the cell assigned).  A cell
+  runs under ``REPRO_FAULTS_EPOCH`` = its attempt count, and a locally
+  spawned worker starts under ``REPRO_FAULTS_EPOCH`` = its slot's respawn
+  count, so "fail at epoch 0, heal on the retry" plans replay exactly even
+  though worker-local hit counters restart per process.
+
+Workers are separate interpreters started cold, so the "warming from the
+shared store" path is the one actually exercised and no lock or session
+state is inherited mid-flight.  Frames are the newline-delimited
+key-sorted JSON of API schema v1 (:func:`repro.descend.api.encode_frame`).
 
 Wire protocol (worker → coordinator, then the reply):
 
@@ -67,7 +78,13 @@ from repro import faults
 from repro.descend.api import MAX_FRAME_BYTES, encode_frame
 from repro.errors import BenchmarkError
 
-__all__ = ["SweepCoordinator", "dispatch_cells", "run_worker"]
+__all__ = ["SweepCoordinator", "dispatch_cells", "make_cells", "run_worker"]
+
+#: Hard cap on locally spawned workers; sweeps have at most a few dozen cells.
+MAX_JOBS = 32
+
+#: Total tries per cell (1 first run + retries) before the sweep aborts.
+DEFAULT_MAX_ATTEMPTS = 3
 
 #: How long an idle worker sleeps when every pending cell is in flight.
 IDLE_POLL_MS = 50
@@ -75,6 +92,51 @@ IDLE_POLL_MS = 50
 #: How often :func:`dispatch_cells` polls coordinator state and worker
 #: process liveness.
 SUPERVISE_POLL_S = 0.05
+
+
+def default_max_attempts() -> int:
+    """Per-cell attempt bound: ``REPRO_SWEEP_ATTEMPTS`` or the default."""
+    try:
+        return max(1, int(os.environ.get("REPRO_SWEEP_ATTEMPTS", DEFAULT_MAX_ATTEMPTS)))
+    except ValueError:
+        return DEFAULT_MAX_ATTEMPTS
+
+
+def make_cells(
+    variant: str,
+    specs: Sequence[tuple],
+    repeats: int,
+    budget_s: Optional[float],
+) -> List[Dict[str, object]]:
+    """Cell dicts for ``specs`` of ``(benchmark, size, scale)`` triples."""
+    return [
+        {
+            "index": index,
+            "variant": variant,
+            "benchmark": benchmark,
+            "size": size,
+            "scale": scale,
+            "repeats": repeats,
+            "budget_s": budget_s,
+        }
+        for index, (benchmark, size, scale) in enumerate(specs)
+    ]
+
+
+def merge_pass_totals(
+    totals: Dict[str, Dict[str, int]], delta: Dict[str, Dict[str, int]]
+) -> None:
+    """Accumulate one cell's pass summary into the sweep-wide totals."""
+    for name, tiers in delta.items():
+        bucket = totals.setdefault(name, {})
+        for tier, count in tiers.items():
+            bucket[tier] = bucket.get(tier, 0) + count
+
+
+def _cell_label(cell: Dict[str, object]) -> str:
+    return (
+        f"{cell['variant']}:{cell['benchmark']}/{cell['size']} (scale {cell['scale']})"
+    )
 
 
 def _decode_line(line: bytes) -> Dict[str, object]:
@@ -98,16 +160,12 @@ class SweepCoordinator:
     def __init__(
         self,
         cells: Sequence[Dict[str, object]],
-        store_url: Optional[str] = None,
         max_attempts: Optional[int] = None,
         progress=None,
         pass_totals: Optional[Dict[str, Dict[str, int]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        from repro.benchsuite.sweep import default_max_attempts
-
-        self.store_url = store_url
         self.max_attempts = (
             max_attempts if max_attempts is not None else default_max_attempts()
         )
@@ -267,7 +325,6 @@ class SweepCoordinator:
 
     def _record(self, frame: Dict[str, object], label: str) -> None:
         from repro.benchsuite.enginebench import EngineBenchRow
-        from repro.benchsuite.sweep import merge_pass_totals
 
         raw_index = frame.get("index")
         if not isinstance(raw_index, int):
@@ -307,8 +364,6 @@ class SweepCoordinator:
             self._finished.set()
 
     def _cell_failed(self, index: int, error: str) -> None:
-        from repro.benchsuite.sweep import _cell_label
-
         with self._lock:
             cell = self._pending.get(index)
             if cell is None:
@@ -331,23 +386,67 @@ class SweepCoordinator:
 
 
 # -- the worker side -----------------------------------------------------------
+def _worker_init(store_path: Optional[str]) -> None:
+    """Per-worker process setup: a fresh session warmed by the shared store."""
+    faults.maybe_raise("sweep.spawn")
+    from repro.descend.driver import CompileSession, set_active_session
+
+    session = CompileSession(label=f"sweep-worker-{os.getpid()}")
+    if store_path:
+        from repro.descend.store import ArtifactStore
+
+        try:
+            session.attach_store(ArtifactStore(store_path))
+        except OSError:
+            pass  # an unusable store only costs warmth, never the sweep
+    set_active_session(session)
+
+
+def _run_cell(cell: Dict[str, object]):
+    """Measure one sweep cell; returns ``(index, row, error, passes)``.
+
+    ``passes`` is the cell's compile-pass summary from the worker's session
+    (:meth:`~repro.descend.driver.CompileSession.pass_counts_since`) — how
+    the coordinator proves that warm-store workers deserialized plans
+    instead of re-lowering them.
+    """
+    from repro.benchsuite.enginebench import compare_engines
+    from repro.descend.driver import active_session
+
+    session = active_session()
+    mark = session.pass_counts_snapshot()
+    try:
+        faults.maybe_raise("sweep.cell")
+        row = compare_engines(
+            str(cell["benchmark"]),
+            str(cell["size"]),
+            repeats=int(cell["repeats"]),  # type: ignore[arg-type]
+            variant=str(cell["variant"]),
+            scale=cell["scale"],  # type: ignore[arg-type]
+            budget_s=cell["budget_s"],  # type: ignore[arg-type]
+        )
+        return cell["index"], row, None, session.pass_counts_since(mark)
+    except Exception as exc:  # reported to the coordinator as data
+        return cell["index"], None, f"{type(exc).__name__}: {exc}", None
+
+
 def run_worker(
     address: Tuple[str, int],
-    store_url: Optional[str] = None,
+    store_path: Optional[str] = None,
     timeout_s: float = 300.0,
 ) -> int:
     """Join a sweep coordinator and measure cells until it says ``done``.
 
-    The worker installs a fresh store-warmed session (the same
-    ``sweep.spawn`` seam as a pool worker), then loops: pull, set the
-    assignment's fault epoch, measure via the shared
-    :func:`~repro.benchsuite.sweep._run_cell`, report.  Returns a process
-    exit code: ``0`` after ``done``, ``1`` on a lost coordinator.
+    The worker installs a fresh store-warmed session (the ``sweep.spawn``
+    seam), then loops: pull, set the assignment's fault epoch, measure via
+    :func:`_run_cell`, report.  Returns a process exit code: ``0`` after
+    ``done``, ``1`` on an unreachable or lost coordinator.  A failure of
+    the worker's own setup raises :class:`OSError` before any connection
+    is attempted.
     """
     from repro.benchsuite.enginebench import host_label
-    from repro.benchsuite.sweep import _run_cell, _worker_init
 
-    _worker_init(store_url)
+    _worker_init(store_path)
     label = host_label()
     try:
         conn = socket.create_connection(address, timeout=timeout_s)
@@ -384,7 +483,7 @@ def run_worker(
                     return 1
                 # The assignment's epoch is the cell's attempt count: chaos
                 # plans keyed `epoch=0` fail the first try and heal on the
-                # requeue, exactly like the pool orchestrator's rounds.
+                # requeue.
                 epoch = reply.get("epoch", 0)
                 epoch_before = os.environ.get(faults.ENV_EPOCH)
                 os.environ[faults.ENV_EPOCH] = str(
@@ -415,7 +514,9 @@ def run_worker(
 
 
 # -- the orchestrating entry point ---------------------------------------------
-def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subprocess.Popen:
+def _spawn_worker(
+    address: Tuple[str, int], store_path: Optional[str], epoch: int
+) -> subprocess.Popen:
     import repro
 
     command = [
@@ -426,9 +527,13 @@ def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subproc
         "--connect",
         f"{address[0]}:{address[1]}",
     ]
-    if store_url:
-        command += ["--store", store_url]
+    if store_path:
+        command += ["--store", store_path]
     env = os.environ.copy()
+    # The coordinator names the store; a stray REPRO_STORE must not attach
+    # a different one to a storeless sweep.
+    env.pop("REPRO_STORE", None)
+    env[faults.ENV_EPOCH] = str(epoch)
     # The spawned interpreter must resolve the same `repro` package this
     # process runs, regardless of the caller's cwd or a relative PYTHONPATH.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -442,39 +547,44 @@ def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subproc
 def dispatch_cells(
     cells: Sequence[Dict[str, object]],
     jobs: int,
-    store_url: Optional[str] = None,
+    store_path: Optional[str] = None,
     progress=None,
     pass_totals: Optional[Dict[str, Dict[str, int]]] = None,
     max_attempts: Optional[int] = None,
 ) -> List[object]:
     """Run sweep cells through a coordinator plus ``jobs`` local workers.
 
-    The same contract as :func:`repro.benchsuite.sweep.run_cells` — rows in
-    sweep order, ``pass_totals`` merged, :class:`BenchmarkError` when a
-    cell exhausts its attempts — with the cells travelling over TCP, so
-    externally connected ``descendc sweep-worker`` processes steal work
-    alongside the local ones.  Dead workers are respawned (bounded by the
-    retry budget) and their in-flight cells requeued with an advanced
-    fault epoch.
-    """
-    from repro.benchsuite.sweep import MAX_JOBS
+    Each cell dict carries ``index``, ``variant``, ``benchmark``, ``size``,
+    ``scale``, ``repeats`` and ``budget_s`` (see :func:`make_cells`).  Rows
+    come back in sweep order; when ``pass_totals`` is given, every worker's
+    compile-pass summary is merged into it (the ``compile_passes`` field
+    of the bench report).  ``store_path`` is a local store directory or a
+    store URL, attached by every worker.  Externally connected
+    ``descendc sweep-worker`` processes steal work alongside the local
+    ones.
 
+    A cell gets ``max_attempts`` tries (default
+    :func:`default_max_attempts`) before the sweep raises
+    :class:`BenchmarkError`.  A local worker that exits before the sweep is
+    over is respawned under the fault epoch of its slot's respawn count.
+    """
     jobs = max(1, min(int(jobs), MAX_JOBS, len(cells) or 1))
     coordinator = SweepCoordinator(
         cells,
-        store_url=store_url,
         max_attempts=max_attempts,
         progress=progress,
         pass_totals=pass_totals,
     )
     coordinator.start()
     workers: List[subprocess.Popen] = []
-    # A worker that exits nonzero before the sweep is over gets replaced,
-    # but only so many times: every legitimate respawn consumes one retry
-    # of some cell, so the attempt budget bounds the respawn budget too.
+    respawns = [0] * jobs
+    # Every legitimate respawn consumes one retry of some cell, so the
+    # attempt budget bounds the respawn budget too.
     respawn_budget = coordinator.max_attempts * max(1, len(cells))
     try:
-        workers = [_spawn_worker(coordinator.address, store_url) for _ in range(jobs)]
+        workers = [
+            _spawn_worker(coordinator.address, store_path, 0) for _ in range(jobs)
+        ]
         while not coordinator.wait(SUPERVISE_POLL_S):
             for slot, proc in enumerate(workers):
                 code = proc.poll()
@@ -483,9 +593,15 @@ def dispatch_cells(
                 if respawn_budget <= 0:
                     continue  # let the attempt bound produce the loud failure
                 respawn_budget -= 1
+                respawns[slot] += 1
                 if progress is not None:
-                    progress(f"sweep worker exited with code {code}; respawning")
-                workers[slot] = _spawn_worker(coordinator.address, store_url)
+                    progress(
+                        f"sweep worker exited with code {code}; respawning "
+                        f"(fault epoch {respawns[slot]})"
+                    )
+                workers[slot] = _spawn_worker(
+                    coordinator.address, store_path, respawns[slot]
+                )
             if (
                 respawn_budget <= 0
                 and not coordinator.finished

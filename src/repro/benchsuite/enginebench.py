@@ -76,7 +76,7 @@ QUICK_DESCEND_ROWS = (("small", 1),)
 #: simulated cycle (the checked-in trajectory measures 130–300 µs/cycle).
 #: The budget guard multiplies it by the row's cycle count — which both
 #: engines share exactly — so the skip decision is deterministic and
-#: identical between serial and sharded sweeps.
+#: identical between serial and dispatched sweeps.
 REF_SECONDS_PER_CYCLE = 3e-4
 #: Default per-row budget (seconds) for the reference-engine column of the
 #: Descend sweep; override with ``--budget`` or ``REPRO_BENCH_BUDGET_S``.
@@ -127,8 +127,8 @@ class EngineBenchRow:
     skipped: Optional[str] = None
     retries: int = 0
     #: Which process measured this row — ``hostname:pid``, stamped by
-    #: :func:`compare_engines` so serial rows, pool shards and dispatched
-    #: remote workers are all attributable in the merged report.
+    #: :func:`compare_engines` so serial rows and rows from local or remote
+    #: sweep workers are all attributable in the merged report.
     host: str = ""
 
     @property
@@ -318,7 +318,6 @@ def compare_engines(
     variant: str = "cudalite",
     scale: Optional[int] = None,
     budget_s: Optional[float] = None,
-    device_s_per_cycle: Optional[float] = None,
 ) -> EngineBenchRow:
     """Run one workload on both engines and check cycle-count parity.
 
@@ -335,14 +334,6 @@ def compare_engines(
     runs first (it shares the exact cycle count), and if the deterministic
     estimate :func:`estimate_reference_wall_s` exceeds the budget the
     reference run is skipped and the row records ``skipped="budget"``.
-
-    ``device_s_per_cycle`` emulates waiting on a device executing the
-    measured kernels in real time (the simulator counts cycles instead of
-    occupying a GPU): after measuring, the call sleeps ``cycles x engines
-    run x this factor``.  The sleep happens *outside* the timed regions, so
-    every row column is identical with or without it — it only stretches
-    the caller's wall-clock, which is what the sweep-scaling benchmark
-    dispatches across workers.  ``None`` (the default) disables it.
     """
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)
@@ -358,7 +349,6 @@ def compare_engines(
         runner, workload_, data, reference, "vectorized", repeats, warmup=True
     )
     if budget_s is not None and estimate_reference_wall_s(vec_cycles) > budget_s:
-        _emulate_device_wait(vec_cycles, 1, device_s_per_cycle)
         return EngineBenchRow(
             benchmark=benchmark,
             size=size,
@@ -390,16 +380,7 @@ def compare_engines(
             f"cycle-count parity violated for {workload_.label} ({variant}): "
             f"reference={ref_cycles} vectorized={vec_cycles}"
         )
-    _emulate_device_wait(vec_cycles, 2, device_s_per_cycle)
     return row
-
-
-def _emulate_device_wait(
-    cycles: float, engine_runs: int, device_s_per_cycle: Optional[float]
-) -> None:
-    """Model the wall-clock of a device executing the measured kernels."""
-    if device_s_per_cycle is not None and device_s_per_cycle > 0:
-        time.sleep(cycles * engine_runs * device_s_per_cycle)
 
 
 def _run_sweep(
@@ -412,48 +393,32 @@ def _run_sweep(
     store_path: Optional[str],
     progress,
 ) -> EngineBenchResult:
-    """Run a sweep's cells serially or sharded across worker processes.
+    """Run a sweep's cells serially, or dispatched to ``jobs`` workers.
 
-    The serial path is the default and the parity oracle; the sharded path
-    (:mod:`repro.benchsuite.sweep`) merges per-shard rows back into sweep
-    order, so both produce identical reports modulo the timing fields.
+    The serial path is the default and the parity oracle; the dispatched
+    path (:func:`repro.benchsuite.dispatch.dispatch_cells`) merges the
+    workers' rows back into sweep order, so both produce identical reports
+    modulo the timing, ``host`` and ``retries`` fields.  ``store_path`` is
+    a local store directory or a store URL either way.
     """
     result = EngineBenchResult(kind=kind)
     if jobs > 1:
-        from repro.benchsuite.sweep import make_cells, run_cells
-        from repro.descend.store import is_store_url
+        from repro.benchsuite.dispatch import dispatch_cells, make_cells
 
-        cells = make_cells(variant, specs, repeats=repeats, budget_s=budget_s)
-        if store_path and is_store_url(store_path):
-            # A URL store means the sweep can leave the machine: route the
-            # cells through the pull-based dispatcher (workers steal cells
-            # over TCP) instead of the single-host process pool.
-            from repro.benchsuite.dispatch import dispatch_cells
-
-            if progress is not None:
-                progress(
-                    f"dispatching {len(specs)} sweep cells to {jobs} workers "
-                    f"(store {store_path}) ..."
-                )
-            result.rows.extend(
-                dispatch_cells(
-                    cells, jobs, store_url=store_path, progress=progress,
-                    pass_totals=result.compile_passes,
-                )
-            )
-            return result
         if progress is not None:
-            progress(f"sharding {len(specs)} sweep cells across {jobs} workers ...")
+            where = f" (store {store_path})" if store_path else ""
+            progress(f"dispatching {len(specs)} sweep cells to {jobs} workers{where} ...")
         result.rows.extend(
-            run_cells(
-                cells, jobs, store_path=store_path, progress=progress,
+            dispatch_cells(
+                make_cells(variant, specs, repeats=repeats, budget_s=budget_s),
+                jobs, store_path=store_path, progress=progress,
                 pass_totals=result.compile_passes,
             )
         )
         return result
 
     def run_serial() -> None:
-        from repro.benchsuite.sweep import merge_pass_totals
+        from repro.benchsuite.dispatch import merge_pass_totals
         from repro.descend.driver import active_session
 
         session = active_session()
@@ -531,9 +496,9 @@ def run_descend_engine_bench(
 
     ``budget_s`` (default: :func:`default_budget_s`) caps the per-row
     reference-engine wall-clock; over-budget rows keep their vectorized
-    column and record ``"skipped": "budget"``.  ``jobs > 1`` shards the
-    rows across worker processes, each warming from the shared artifact
-    store at ``store_path`` if one is given.
+    column and record ``"skipped": "budget"``.  ``jobs > 1`` dispatches the
+    rows to worker processes, each warming from the shared artifact store
+    at ``store_path`` (a directory or a URL) if one is given.
     """
     if rows is None:
         if sizes is None and scales is None:
@@ -600,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="shard the sweep across N worker processes (default: serial)",
+        help="dispatch the sweep to N worker processes (default: serial)",
     )
     parser.add_argument(
         "--budget", type=float, default=None,
@@ -610,14 +575,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--store", default=None,
-        help="persistent artifact store warming the compile caches "
-        "(shared by every sweep worker with --jobs)",
-    )
-    parser.add_argument(
-        "--store-url", default=None, dest="store_url",
-        help="HTTP store endpoint URL of a `descendc serve --store-http` daemon; "
-        "with --jobs N the sweep dispatches cells to worker processes sharing "
-        "that remote store (pull-based work stealing)",
+        help="persistent artifact store warming the compile caches: a directory "
+        "or the HTTP store endpoint URL of a `descendc serve --store-http` "
+        "daemon (shared by every sweep worker with --jobs)",
     )
     parser.add_argument(
         "--output", default=None,
@@ -629,10 +589,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output is None:
         args.output = "BENCH_descend_engine.json" if args.descend else "BENCH_engine.json"
-    if args.store and args.store_url:
-        parser.error("pass either --store or --store-url, not both")
-    if args.store_url:
-        args.store = args.store_url
     if args.scales and not args.descend:
         parser.error("--scales applies to the Descend variant; use --scale with the CUDA-lite bench")
     if args.descend and args.scale is not None and args.scales:

@@ -1,26 +1,23 @@
-"""Scaling benchmark of the distributed sweep: ``BENCH_sweep_scaling.json``.
+"""Scaling benchmark of the sweep dispatcher: ``BENCH_sweep_scaling.json``.
 
-The dispatcher's value proposition is wall-clock: once the shared store is
-warm, a bench sweep is pure measurement work, and pull-based work stealing
-should spread it across worker processes with near-linear speedup.  This
-benchmark quantifies that against one daemon-style HTTP store endpoint:
+``--jobs N`` sweeps exist for wall-clock: once the shared store is warm, a
+bench sweep is pure measurement work, and pull-based work stealing should
+spread it across worker processes.  This benchmark measures how far it
+does, against one daemon-style HTTP store endpoint:
 
 * **cold** — one worker fills the store: the first compile of every
   program pays the compute passes, persisted over the HTTP protocol;
-* **warm xN** — the same cells dispatched to 1, 2 and 4 workers against
-  the now-warm store.  Every warm phase must report *zero* compute-tier
-  passes (the fleet-wide zero-compute acceptance criterion), its rows
-  must agree with every other warm phase on all stable columns (the
-  serial-parity oracle, transitively), and the headline number is
-  ``speedup_4w = wall(1 worker) / wall(4 workers)``.
+* **warm xN** — the same cells dispatched to 1, 2, ... up to
+  ``os.cpu_count()`` workers against the now-warm store.  Every warm phase
+  must report *zero* compute-tier passes (the fleet-wide zero-compute
+  acceptance criterion) and its rows must agree with every other warm
+  phase on all stable columns (the serial-parity oracle, transitively).
 
-The cells are *device-bound* (:data:`DEVICE_S_PER_CYCLE`,
-:data:`SCALING_BUDGET_S`): each engine run waits out its kernels'
-simulated execution time, and the CPU-heavy reference-interpreter column
-is budget-skipped.  That is the dispatcher's target regime — workers
-overlap their devices' execution — and it keeps the ladder meaningful on
-small hosts, where contending simulator CPU (a shared resource) would
-otherwise drown the overlap.  Both parameters land in the JSON payload.
+Each cell runs both engine columns, so the work is the simulator's own
+CPU time — mostly the reference interpreter — and the ladder stops at the
+host's CPU count, past which workers only contend for the same cores.
+The headline numbers are ``speedup = wall(1 worker) / wall(widest rung)``
+and ``parallel_efficiency = speedup / widest rung``.
 
 Wall time includes worker spawn: the claim is end-to-end sweep latency,
 not per-cell throughput.  ``descendc bench`` does not front this module
@@ -32,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -43,30 +41,20 @@ from repro.descend.api import LocalBackend
 from repro.descend.serve import ServeConfig, ServerThread
 from repro.errors import BenchmarkError
 
-#: Worker counts of the scaling ladder (the cold fill always uses one).
-WORKER_LADDER = (1, 2, 4)
+
+def default_ladder() -> Tuple[int, ...]:
+    """Worker counts of the scaling ladder: 1 up to this host's CPU count.
+
+    The cold fill always uses one worker.
+    """
+    return tuple(range(1, (os.cpu_count() or 1) + 1))
+
 
 #: Default cell set: every Descend benchmark at small x scales 1 and 2 —
 #: twelve cells of comparable weight, enough measurement work to amortize
 #: worker spawn without pushing the run past a few minutes.
 DEFAULT_SCALES = (1, 2)
 QUICK_SCALES = (1,)
-
-#: The scaling cells are *device-bound*: after measuring, each engine run
-#: waits out its kernels' simulated execution time at this clock (the
-#: simulator counts cycles instead of occupying a GPU, so the wait is
-#: emulated — see ``compare_engines(device_s_per_cycle=...)``).  That is
-#: the regime the dispatcher exists for: a host's workers overlap their
-#: devices' execution, so the sweep scales even where raw simulator CPU
-#: (a shared resource) would not.  The row columns are latency-free; only
-#: sweep wall-clock stretches.
-DEVICE_S_PER_CYCLE = 100e-6
-
-#: The reference interpreter is the sweep's CPU hog (seconds per cell of
-#: pure simulator time); the scaling cells skip its column via the budget
-#: guard so dispatch overlap, not interpreter contention, is what the
-#: ladder measures.  ``0.0`` skips it on every row, deterministically.
-SCALING_BUDGET_S = 0.0
 
 #: Timing and identity columns excluded from the cross-phase parity check.
 UNSTABLE_COLUMNS = frozenset(
@@ -117,6 +105,10 @@ class SweepBenchResult:
     rows: List[SweepPhaseRow] = field(default_factory=list)
     kind: str = "sweep-scaling-bench"
 
+    @property
+    def ladder(self) -> List[int]:
+        return [row.workers for row in self.rows if row.phase.startswith("warm")]
+
     def warm_wall(self, workers: int) -> Optional[float]:
         for row in self.rows:
             if row.phase.startswith("warm") and row.workers == workers:
@@ -124,17 +116,26 @@ class SweepBenchResult:
         return None
 
     @property
-    def speedup_4w(self) -> Optional[float]:
-        base, wide = self.warm_wall(1), self.warm_wall(4)
-        if base is None or wide is None or wide <= 0:
+    def speedup(self) -> Optional[float]:
+        """Warm wall at 1 worker over warm wall at the widest rung (> 1)."""
+        widest = max(self.ladder, default=1)
+        base, wide = self.warm_wall(1), self.warm_wall(widest)
+        if widest <= 1 or base is None or wide is None or wide <= 0:
             return None
         return base / wide
+
+    @property
+    def parallel_efficiency(self) -> Optional[float]:
+        speedup = self.speedup
+        return None if speedup is None else speedup / max(self.ladder)
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
             "phases": [row.as_dict() for row in self.rows],
-            "speedup_4w": self.speedup_4w,
+            "ladder": self.ladder,
+            "speedup": self.speedup,
+            "parallel_efficiency": self.parallel_efficiency,
             "warm_compute_passes": sum(
                 row.compute_passes for row in self.rows if row.phase.startswith("warm")
             ),
@@ -156,11 +157,12 @@ class SweepBenchResult:
                 for row in self.rows
             ],
         )
-        speedup = self.speedup_4w
+        speedup = self.speedup
         headline = (
-            f"warm sweep speedup at 4 workers: {speedup:.2f}x"
+            f"warm sweep speedup at {max(self.ladder)} workers: {speedup:.2f}x "
+            f"(parallel efficiency {self.parallel_efficiency:.0%})"
             if speedup is not None
-            else "warm sweep speedup at 4 workers: (not measured)"
+            else "warm sweep speedup: (not measured; needs rungs 1 and > 1)"
         )
         return table + "\n\n" + headline
 
@@ -176,7 +178,7 @@ def _dispatch_phase(
     phase: str,
     cells: Sequence[Dict[str, object]],
     workers: int,
-    store_url: str,
+    store_path: str,
     progress=None,
 ) -> Tuple[SweepPhaseRow, List[object]]:
     from repro.benchsuite.dispatch import dispatch_cells
@@ -184,7 +186,7 @@ def _dispatch_phase(
     pass_totals: Dict[str, Dict[str, int]] = {}
     started = time.perf_counter()
     rows = dispatch_cells(
-        cells, workers, store_url=store_url, pass_totals=pass_totals
+        cells, workers, store_path=store_path, pass_totals=pass_totals
     )
     wall_s = time.perf_counter() - started
     hosts = len({getattr(row, "host", "") for row in rows})
@@ -207,21 +209,18 @@ def _dispatch_phase(
 def run_sweep_bench(
     scales: Sequence[int] = DEFAULT_SCALES,
     repeats: int = 1,
-    ladder: Sequence[int] = WORKER_LADDER,
+    ladder: Optional[Sequence[int]] = None,
     progress=None,
 ) -> SweepBenchResult:
+    from repro.benchsuite.dispatch import make_cells
     from repro.benchsuite.enginebench import DESCEND_BENCHMARKS
-    from repro.benchsuite.sweep import make_cells
 
     specs = [
         (benchmark, "small", scale)
         for scale in scales
         for benchmark in DESCEND_BENCHMARKS
     ]
-    cells = make_cells(
-        "descend", specs, repeats=repeats, budget_s=SCALING_BUDGET_S,
-        device_s_per_cycle=DEVICE_S_PER_CYCLE,
-    )
+    cells = make_cells("descend", specs, repeats=repeats, budget_s=None)
     result = SweepBenchResult()
     with tempfile.TemporaryDirectory(prefix="descend-sweepbench-") as tmp:
         config = ServeConfig(
@@ -242,7 +241,7 @@ def run_sweep_bench(
                     "was not actually cold and the warm walls would be meaningless"
                 )
             baseline: Optional[List[Dict[str, object]]] = None
-            for workers in ladder:
+            for workers in ladder if ladder is not None else default_ladder():
                 phase_row, rows = _dispatch_phase(
                     f"warm x{workers}", cells, workers, store_url, progress
                 )
@@ -270,8 +269,6 @@ def write_report(result: SweepBenchResult, path: str, quick: bool = False) -> Di
     """Write the JSON report CI uploads as a distributed-smoke artifact."""
     payload = dict(result.as_dict())
     payload["quick"] = quick
-    payload["device_s_per_cycle"] = DEVICE_S_PER_CYCLE
-    payload["budget_s"] = SCALING_BUDGET_S
     payload["created_unix"] = time.time()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -290,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument(
         "--workers", nargs="*", type=int, default=None,
-        help=f"worker counts of the scaling ladder (default {WORKER_LADDER})",
+        help="worker counts of the scaling ladder (default: 1 up to the CPU count)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -298,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None, dest="min_speedup",
-        help="fail unless the 4-worker warm speedup reaches this factor",
+        help="fail unless the warm speedup at the widest rung reaches this factor",
     )
     parser.add_argument("--output", default="BENCH_sweep_scaling.json")
     parser.add_argument("--json", action="store_true", help="print the JSON payload to stdout")
@@ -307,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scales = args.scales
     if scales is None:
         scales = QUICK_SCALES if args.quick else DEFAULT_SCALES
-    ladder = tuple(args.workers) if args.workers else WORKER_LADDER
+    ladder = tuple(args.workers) if args.workers else None
     progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     try:
         result = run_sweep_bench(
@@ -317,13 +314,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BenchmarkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    speedup = result.speedup_4w
+    speedup = result.speedup
     if (
         args.min_speedup is not None
         and (speedup is None or speedup < args.min_speedup)
     ):
         print(
-            f"error: 4-worker warm speedup "
+            f"error: warm speedup at the widest rung "
             f"{'n/a' if speedup is None else f'{speedup:.2f}x'} is below the "
             f"required {args.min_speedup:.2f}x",
             file=sys.stderr,

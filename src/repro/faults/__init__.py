@@ -2,7 +2,7 @@
 
 The serving path around the Descend compiler — the content-addressed
 artifact store, the ``descendc serve`` daemon, the multi-process sweep
-orchestrator — promises to *degrade*, never die, under partial failure.
+dispatcher — promises to *degrade*, never die, under partial failure.
 This package makes that promise testable: named injection points are wired
 into the hot I/O seams (blob read/write/rename, index flock, socket
 read/write, executor submission, worker spawn/execution), and a

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 #: Environment variables the harness reads.  Both are inherited by spawned
-#: subprocesses (daemon workers, sweep shards), which is how one spec
+#: subprocesses (daemon workers, sweep workers), which is how one spec
 #: governs a whole process tree.
 ENV_SPEC = "REPRO_FAULTS"
 ENV_EPOCH = "REPRO_FAULTS_EPOCH"

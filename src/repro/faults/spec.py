@@ -23,11 +23,13 @@ describing when it misbehaves and how::
     Stop firing after this many fires (how chaos tests let a retry
     eventually succeed against a long-lived daemon).
 ``epoch=<int>``
-    Fire only when ``REPRO_FAULTS_EPOCH`` equals this value.  Spawned
-    sweep workers inherit the orchestrator's epoch (the retry round), so
-    "every cell fails in round 0, succeeds in round 1" is expressible and
-    deterministic even though worker-local hit counters restart per
-    process.
+    Fire only when ``REPRO_FAULTS_EPOCH`` equals this value.  The sweep
+    dispatcher sets it per cell to the cell's attempt count, and starts
+    each locally spawned worker under its slot's respawn count, so "every
+    cell fails on its first try and heals on the retry" (``sweep.cell``)
+    and "the first worker fails setup, its respawn succeeds"
+    (``sweep.spawn``) are expressible and deterministic even though
+    worker-local hit counters restart per process.
 
 Example: a store whose first two blob writes are torn, a daemon that
 drops the socket on the second response::

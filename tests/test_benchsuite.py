@@ -416,14 +416,14 @@ class TestSweepOrchestrator:
         assert result.compile_passes.get("typeck", {}).get("compute", 0) >= 1
 
     def test_worker_failure_aborts_the_sweep(self):
-        from repro.benchsuite.sweep import make_cells, run_cells
+        from repro.benchsuite.dispatch import dispatch_cells, make_cells
 
         cells = make_cells("descend", [("no-such-benchmark", "small", 1)], 1, None)
         with pytest.raises(BenchmarkError, match="no-such-benchmark"):
-            run_cells(cells, jobs=2)
+            dispatch_cells(cells, jobs=2)
 
     def test_make_cells_preserves_sweep_order(self):
-        from repro.benchsuite.sweep import make_cells
+        from repro.benchsuite.dispatch import make_cells
 
         cells = make_cells("cudalite", [("reduce", "small", None), ("scan", "medium", 2)], 3, 1.5)
         assert [c["index"] for c in cells] == [0, 1]
@@ -435,7 +435,6 @@ class TestSweepOrchestrator:
             "scale": 2,
             "repeats": 3,
             "budget_s": 1.5,
-            "device_s_per_cycle": None,
         }
 
 
@@ -572,9 +571,14 @@ class TestSweepScalingBench:
             SweepPhaseRow("warm x2", 2, 12, 11.0, 2, {}),
             SweepPhaseRow("warm x4", 4, 12, 8.0, 4, {}),
         ])
-        assert result.speedup_4w == pytest.approx(2.5)
+        assert result.ladder == [1, 2, 4]
+        assert result.speedup == pytest.approx(2.5)  # widest rung: 4 workers
+        assert result.parallel_efficiency == pytest.approx(2.5 / 4)
         payload = result.as_dict()
         assert payload["kind"] == "sweep-scaling-bench"
+        assert payload["ladder"] == [1, 2, 4]
+        assert payload["speedup"] == pytest.approx(2.5)
+        assert payload["parallel_efficiency"] == pytest.approx(0.625)
         assert payload["warm_compute_passes"] == 0
         assert payload["phases"][0]["compute_passes"] == 6
         assert "2.50x" in result.to_table()
@@ -583,4 +587,14 @@ class TestSweepScalingBench:
         from repro.benchsuite.sweepbench import SweepBenchResult, SweepPhaseRow
 
         result = SweepBenchResult(rows=[SweepPhaseRow("warm x1", 1, 6, 10.0, 1, {})])
-        assert result.speedup_4w is None
+        assert result.speedup is None
+        assert result.parallel_efficiency is None
+        assert "not measured" in result.to_table()
+
+    def test_default_ladder_runs_to_the_cpu_count(self, monkeypatch):
+        from repro.benchsuite import sweepbench
+
+        monkeypatch.setattr(sweepbench.os, "cpu_count", lambda: 3)
+        assert sweepbench.default_ladder() == (1, 2, 3)
+        monkeypatch.setattr(sweepbench.os, "cpu_count", lambda: None)
+        assert sweepbench.default_ladder() == (1,)

@@ -228,6 +228,44 @@ def test_bench_descend_jobs_matches_serial_shape(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["entries"] > 0
 
 
+def test_bench_store_accepts_a_url(tmp_path, capsys):
+    import json
+
+    from repro.descend.api import LocalBackend
+    from repro.descend.serve import ServeConfig, ServerThread
+
+    out_path = tmp_path / "BENCH_url.json"
+    config = ServeConfig(
+        str(tmp_path / "serve.sock"), store_path=str(tmp_path / "store"),
+        store_http_port=0,
+    )
+    with ServerThread(LocalBackend(label="cli-url"), config) as thread:
+        assert main([
+            "bench", "--descend", "--benchmarks", "transpose", "--scales", "1",
+            "--budget", "0", "--jobs", "2", "--store", thread.store_url,
+            "--output", str(out_path),
+        ]) == 0
+    assert "dispatching 1 sweep cells" in capsys.readouterr().err
+    row = json.loads(out_path.read_text())["workloads"][0]
+    assert row["host"] and row["vectorized_cycles"] > 0
+    # The workers persisted their compiles through the HTTP endpoint.
+    assert main(["cache", "stats", "--json", "--store", str(tmp_path / "store")]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] > 0
+
+
+def test_sweep_worker_reports_its_own_setup_failure(monkeypatch, capsys):
+    from repro import faults
+    from repro.cli import ERR_IO, EXIT_CODES
+
+    monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror")
+    # Setup fails before any connection is attempted, so the port is moot.
+    assert main(["sweep-worker", "--connect", "127.0.0.1:9"]) == EXIT_CODES[ERR_IO]
+    err = capsys.readouterr().err
+    assert "sweep-worker setup failed" in err
+    assert "injected oserror at sweep.spawn" in err
+    assert "coordinator" not in err
+
+
 def test_bench_descend_budget_skips_reference(tmp_path, capsys):
     import json
 

@@ -8,8 +8,9 @@ mechanism) and then drives injected failures through every hardened seam:
 * serve: dropped/torn responses are healed by the client's retry loop, an
   exploding executor answers a structured error and the daemon stays up,
   queued-out requests honor their ``deadline_ms``;
-* sweep: cells that fail (or whose worker hard-crashes) in round 0 are
-  retried on a fresh pool and succeed in round 1, recorded in ``retries``.
+* sweep: cells that fail (or whose worker hard-crashes) on their first
+  attempt are requeued and succeed on the next, recorded in ``retries``;
+  a worker whose setup fails is respawned under the next fault epoch.
 """
 
 import socket as socket_module
@@ -310,49 +311,60 @@ class TestServeChaos:
 
 
 class TestSweepChaos:
+    """Chaos at the sweep workers' seams, driven through the dispatcher."""
+
     def _cells(self):
-        from repro.benchsuite.sweep import make_cells
+        from repro.benchsuite.dispatch import make_cells
 
         return make_cells("descend", [("transpose", "small", 1)], 1, 0.0)
 
     def test_cell_failure_is_retried_on_the_next_round(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
+        from repro.benchsuite.dispatch import dispatch_cells
 
         monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
+        rows = dispatch_cells(self._cells(), jobs=1)
         assert len(rows) == 1
         assert rows[0].benchmark == "transpose"
-        assert rows[0].retries == 1  # failed round 0, succeeded round 1
+        assert rows[0].retries == 1  # failed attempt 0, succeeded attempt 1
         assert rows[0].as_dict()["retries"] == 1
 
-    def test_worker_crash_is_retried_on_a_fresh_pool(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
-
-        # kind=crash hard-kills the worker (os._exit): the pool breaks, the
-        # orchestrator retries the cell on a fresh pool in round 1.
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
-        assert len(rows) == 1
-        assert rows[0].retries == 1
-
     def test_spawn_failure_is_retried(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
+        from repro.benchsuite.dispatch import dispatch_cells
 
+        # The first worker fails its own setup at fault epoch 0; its respawn
+        # starts under epoch 1 and measures the cell.  No cell was held by
+        # the failed worker, so no attempt is charged.
         monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
+        messages = []
+        rows = dispatch_cells(self._cells(), jobs=1, progress=messages.append)
         assert len(rows) == 1
-        assert rows[0].retries == 1
+        assert rows[0].benchmark == "transpose"
+        assert rows[0].host
+        assert rows[0].retries == 0
+        assert any(
+            "respawning (fault epoch 1)" in message for message in messages
+        ), messages
 
-    def test_persistent_failure_aborts_loud_with_the_cell_name(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
+    def test_persistent_spawn_failure_aborts_instead_of_hanging(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells
         from repro.errors import BenchmarkError
 
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every round
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror")  # every epoch
+        started = time.monotonic()
+        with pytest.raises(BenchmarkError, match="respawn budget is spent"):
+            dispatch_cells(self._cells(), jobs=1, max_attempts=2)
+        assert time.monotonic() - started < 60.0
+
+    def test_persistent_failure_aborts_loud_with_the_cell_name(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells
+        from repro.errors import BenchmarkError
+
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every attempt
         with pytest.raises(BenchmarkError, match="transpose/small"):
-            run_cells(self._cells(), jobs=1, max_attempts=2)
+            dispatch_cells(self._cells(), jobs=1, max_attempts=2)
 
     def test_max_attempts_env_override(self, monkeypatch):
-        from repro.benchsuite.sweep import DEFAULT_MAX_ATTEMPTS, default_max_attempts
+        from repro.benchsuite.dispatch import DEFAULT_MAX_ATTEMPTS, default_max_attempts
 
         monkeypatch.setenv("REPRO_SWEEP_ATTEMPTS", "5")
         assert default_max_attempts() == 5
@@ -420,7 +432,7 @@ class TestDispatchChaos:
     workers are charged to the cell's retry budget and healed by requeue."""
 
     def _cells(self):
-        from repro.benchsuite.sweep import make_cells
+        from repro.benchsuite.dispatch import make_cells
 
         return make_cells("descend", [("transpose", "small", 1)], 1, 0.0)
 
@@ -440,18 +452,10 @@ class TestDispatchChaos:
         from repro.benchsuite.dispatch import dispatch_cells
 
         # kind=crash hard-kills the worker process mid-cell (os._exit); the
-        # epoch=0 scope means the respawned worker's round-1 attempt — which
-        # carries the advanced fault epoch — runs clean.
+        # epoch=0 scope means the requeued second attempt — which carries
+        # the advanced fault epoch — runs clean on the respawned worker.
         monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash,epoch=0")
         rows = dispatch_cells(self._cells(), jobs=1)
         assert len(rows) == 1
         assert rows[0].retries == 1
         assert rows[0].host  # the surviving worker stamped the row
-
-    def test_persistent_cell_failure_aborts_loud(self, monkeypatch):
-        from repro.benchsuite.dispatch import dispatch_cells
-        from repro.errors import BenchmarkError
-
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every round
-        with pytest.raises(BenchmarkError, match="transpose/small"):
-            dispatch_cells(self._cells(), jobs=1, max_attempts=2)
