@@ -328,6 +328,21 @@ class TestSweepChaos:
         assert rows[0].retries == 1  # failed attempt 0, succeeded attempt 1
         assert rows[0].as_dict()["retries"] == 1
 
+    def test_worker_crash_is_retried_on_a_fresh_pool(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells, make_cells
+
+        # kind=crash hard-kills a worker (os._exit) on every cell's first
+        # attempt: with two workers both die, the dispatcher refills each
+        # slot with a fresh worker, and every cell heals on its second try.
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash,epoch=0")
+        cells = make_cells(
+            "descend", [("transpose", "small", 1), ("reduce", "small", 1)], 1, 0.0
+        )
+        rows = dispatch_cells(cells, jobs=2)
+        assert [row.benchmark for row in rows] == ["transpose", "reduce"]
+        assert [row.retries for row in rows] == [1, 1]
+        assert all(row.host for row in rows)
+
     def test_spawn_failure_is_retried(self, monkeypatch):
         from repro.benchsuite.dispatch import dispatch_cells
 
@@ -459,3 +474,13 @@ class TestDispatchChaos:
         assert len(rows) == 1
         assert rows[0].retries == 1
         assert rows[0].host  # the surviving worker stamped the row
+
+    def test_persistent_cell_failure_aborts_loud(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells
+        from repro.errors import BenchmarkError
+
+        # A worker killed on every attempt: each death is charged to the
+        # cell, so the sweep aborts naming it rather than respawning forever.
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash")  # every attempt
+        with pytest.raises(BenchmarkError, match="transpose/small"):
+            dispatch_cells(self._cells(), jobs=1, max_attempts=2)
